@@ -3,10 +3,10 @@
 // structure-probe cost that campaign probe filtering pays once per
 // instance.
 //
-// Metric: MB/s of text parsed (the readers are single-pass and
-// line-buffered, so throughput is tokenizer-bound), file-backed MB/s for
-// the streaming and mmap chunk-parallel readers (edge list and METIS,
-// the formats the parallel reader covers), and probe wall time split by
+// Metric: MB/s of text parsed (the readers parse one in-memory buffer
+// line by line, so throughput is tokenizer-bound), file-backed MB/s at
+// one and eight parse chunks (edge list and METIS, the formats the
+// reader splits into chunks), and probe wall time split by
 // component cost class (linear peel/BFS vs bounded planarity/flow vs the
 // sampled mode web-scale campaigns run under a probe budget).
 //
@@ -111,10 +111,10 @@ int main(int argc, char** argv) {
     }
     if (print) table.print(std::cout);
 
-    // The file-backed readers on the formats the mmap parallel reader
-    // covers: threads=1 is the streaming line reader, threads=8 the
-    // mmap chunk-parallel path (both produce bit-identical graphs; the
-    // differential tests pin that, here it is just re-checked).
+    // The file-backed reads on the formats the reader splits into
+    // chunks: threads=1 parses one chunk, threads=8 eight concurrent
+    // chunks (both produce bit-identical graphs; the differential tests
+    // pin that, here it is just re-checked).
     Table ptable({"format", "threads", "parse_ms", "parse_MB/s"});
     for (const GraphFormat format :
          {GraphFormat::kMetis, GraphFormat::kEdgeList}) {
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
       std::remove(path.c_str());
     }
     if (print) {
-      std::cout << "\nfile-backed readers (streaming vs mmap parallel):\n";
+      std::cout << "\nfile-backed reads (1 chunk vs 8 chunks):\n";
       ptable.print(std::cout);
     }
 

@@ -88,7 +88,9 @@
 //   --format F         override the format (dimacs|metis|mtx|edges)
 //   Writes the graph with scol's own writers and prints one JSON line
 //   {spec, seed, path, format, n, m} — the big-graph pipeline's first
-//   stage (gen -> parallel read -> probe -> solve).
+//   stage (gen -> parallel read -> probe -> solve). A graph the format
+//   cannot represent (an edge list with an isolated vertex) or a failed
+//   write exits 1 and leaves no file at FILE.
 //
 // Exit code: 0 for a kColored/kInfeasible report (both are answers),
 // 1 for kFailed (or, in campaign mode, any oracle violation), 2 for
@@ -218,26 +220,34 @@ int gen_main(int argc, char** argv) {
   }
   if (out_path.empty()) gen_usage_error("--out is required");
 
+  Graph g;
+  GraphFormat format = GraphFormat::kAuto;
   try {
     Rng rng(seed);
-    const Graph g = build_scenario(gen, rng);
-    GraphFormat format = parse_format(format_arg);
+    g = build_scenario(gen, rng);
+    format = parse_format(format_arg);
     if (format == GraphFormat::kAuto) format = sniff_format(out_path, "");
-    write_graph_file(out_path, g, format);
-
-    Json out = Json::object();
-    out.set("spec", Json::str(gen));
-    out.set("seed", Json::integer(static_cast<std::int64_t>(seed)));
-    out.set("path", Json::str(out_path));
-    out.set("format", Json::str(format_name(format)));
-    out.set("n", Json::integer(g.num_vertices()));
-    out.set("m", Json::integer(g.num_edges()));
-    std::cout << out.dump(-1) << "\n";
-    return 0;
   } catch (const std::exception& e) {
     std::cerr << "scol-cli gen: " << e.what() << "\n";
     return 2;
   }
+  // A graph the format cannot hold, or a failed write, is a runtime
+  // failure; write_graph_file leaves no file behind either way.
+  try {
+    write_graph_file(out_path, g, format);
+  } catch (const std::exception& e) {
+    std::cerr << "scol-cli gen: " << e.what() << "\n";
+    return 1;
+  }
+  Json out = Json::object();
+  out.set("spec", Json::str(gen));
+  out.set("seed", Json::integer(static_cast<std::int64_t>(seed)));
+  out.set("path", Json::str(out_path));
+  out.set("format", Json::str(format_name(format)));
+  out.set("n", Json::integer(g.num_vertices()));
+  out.set("m", Json::integer(g.num_edges()));
+  std::cout << out.dump(-1) << "\n";
+  return 0;
 }
 
 // `scol-cli probe ...`: certified structure of one scenario's graph plus

@@ -160,9 +160,10 @@ void register_builtin_scenarios(ScenarioRegistry& r) {
          }});
 
   // --- Real-world files (io/). ---
-  r.add({"file", "file-backed graph; path=... (required), format=auto "
-                 "(auto|dimacs|metis|mtx|edges), threads=1 (parallel "
-                 "mmap reader; 0 = all cores); see docs/FORMATS.md",
+  r.add({"file", "file-backed graph; path=... (required; /dev/stdin "
+                 "reads a pipe), format=auto (auto|dimacs|metis|mtx|edges), "
+                 "threads=1 (METIS / edge-list parse chunks; 0 = all "
+                 "cores); see docs/FORMATS.md",
          {"path", "format", "threads"},
          [](const ParamBag& p, Rng&) {
            const std::string path = p.get_str("path", "");

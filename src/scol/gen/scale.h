@@ -2,7 +2,7 @@
 // Graph500-style RMAT, power-law (Chung–Lu) graphs, and preferential
 // attachment. These produce the skewed-degree sparse regimes the related
 // distributed-coloring results target (Ghaffari–Lymouri arXiv:1708.06275,
-// palette sparsification arXiv:2408.08256) at sizes the mmap parallel
+// palette sparsification arXiv:2408.08256) at sizes the chunked file
 // reader and the sampled probes are built for.
 #pragma once
 

@@ -1,64 +1,138 @@
 #include "scol/io/io.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
-#include <thread>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "scol/io/reader_detail.h"
 #include "scol/util/check.h"
+#include "scol/util/thread_pool.h"
 
 namespace scol {
 namespace {
 
 using io_detail::EdgeAccumulator;
+using io_detail::LineCursor;
 using io_detail::Token;
 using io_detail::fail_at;
 using io_detail::str;
 
-// Line-buffered single-pass reader: getline + CRLF stripping + the
-// position state every error message needs. Satisfies the io_detail
-// context contract (lineno + fail), so every parse helper in
-// reader_detail.h works on it unchanged.
-struct LineReader {
-  std::istream& in;
-  const std::string& name;
-  std::string line = {};
-  std::size_t lineno = 0;
-  std::vector<Token> toks = {};  // reused per line by tokenize()
+// --- The input buffer -----------------------------------------------------
 
-  bool next() {
-    if (!std::getline(in, line)) return false;
-    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF
-    ++lineno;
-    return true;
-  }
+// Reads the rest of `in` into one buffer with plain reads. `size_hint`
+// (0 when unknown, e.g. a pipe) only presizes the buffer.
+std::string read_all(std::istream& in, const std::string& name,
+                     std::size_t size_hint) {
+  std::string text;
+  text.reserve(size_hint);
+  std::array<char, 1 << 16> block;
+  while (in.read(block.data(), block.size()) || in.gcount() > 0)
+    text.append(block.data(), static_cast<std::size_t>(in.gcount()));
+  if (in.bad()) throw PreconditionError(name + ": read failed");
+  return text;
+}
 
-  // Tokenizes the current line into the reused buffer.
-  const std::vector<Token>& tokens() {
-    io_detail::tokenize(line, toks);
-    return toks;
-  }
+// Frees the input buffer; every driver calls this before its finish step
+// so the text and the finished graph are never resident together.
+void release(std::string& text) { std::string().swap(text); }
 
-  [[noreturn]] void fail(std::size_t col, const std::string& what) const {
-    fail_at(name, lineno, col, what);
+// Advances past '%' comment lines (counted) and blank lines to the next
+// line that has tokens; false at the end of the input.
+bool next_data_line(LineCursor& r, std::int64_t& comment_lines) {
+  while (r.next()) {
+    if (!r.line.empty() && r.line[0] == '%') {
+      ++comment_lines;
+      continue;
+    }
+    if (!r.tokens().empty()) return true;
   }
-  [[noreturn]] void fail_eof(const std::string& what) const {
-    fail_at(name, lineno + 1, 1, what);
+  return false;
+}
+
+// --- Chunked parsing (METIS, edge lists) ----------------------------------
+
+// Splits `text` into up to `parts` newline-aligned chunks. Every chunk
+// begins at a line start, so no line spans two chunks; short texts yield
+// fewer chunks, and an empty text one empty chunk.
+std::vector<std::string_view> split_lines(std::string_view text, int parts) {
+  std::vector<std::string_view> chunks;
+  std::size_t begin = 0;
+  for (int i = 1; i < parts; ++i) {
+    const std::size_t target = std::max(
+        begin, text.size() * static_cast<std::size_t>(i) /
+                   static_cast<std::size_t>(parts));
+    if (target >= text.size()) break;
+    const char* nl = static_cast<const char*>(
+        std::memchr(text.data() + target, '\n', text.size() - target));
+    if (nl == nullptr) break;
+    const std::size_t cut = static_cast<std::size_t>(nl - text.data()) + 1;
+    if (cut >= text.size()) break;
+    chunks.push_back(text.substr(begin, cut - begin));
+    begin = cut;
   }
+  chunks.push_back(text.substr(begin));
+  return chunks;
+}
+
+// A position in the body: a global 1-based line number and the number of
+// data lines (METIS: not '%'-led) before it.
+struct BodyPos {
+  std::size_t line = 0;
+  std::int64_t data = 0;
 };
+
+// Parses `body` on a ThreadPool(threads): one newline-aligned chunk per
+// pool thread, each through parse(cursor, part, start) with a cursor that
+// begins at the chunk's global first line. A counting pre-pass over every
+// chunk gives each one its `start`. Returns the parts in file order and
+// sets `end` to the position one past the last line. A parse error
+// propagates from the lowest-index chunk that threw, which holds the
+// earliest offending line (ThreadPool::run_chunks).
+template <class Part, class Parse>
+std::vector<Part> parse_chunks(std::string_view body, const std::string& name,
+                               std::size_t first_line, int threads,
+                               BodyPos& end, const Parse& parse) {
+  ThreadPool pool(threads);
+  const std::vector<std::string_view> chunks =
+      split_lines(body, pool.num_threads());
+  std::vector<BodyPos> counts(chunks.size());
+  pool.run_chunks(chunks.size(), [&](std::size_t i) {
+    LineCursor r(chunks[i], name);
+    while (r.next())
+      if (r.line.empty() || r.line[0] != '%') ++counts[i].data;
+    counts[i].line = r.lineno;
+  });
+  std::vector<BodyPos> starts(chunks.size());
+  end = BodyPos{first_line, 0};
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    starts[i] = end;
+    end.line += counts[i].line;
+    end.data += counts[i].data;
+  }
+  std::vector<Part> parts(chunks.size());
+  pool.run_chunks(chunks.size(), [&](std::size_t i) {
+    LineCursor r(chunks[i], name, starts[i].line);
+    parse(r, parts[i], starts[i]);
+  });
+  return parts;
+}
 
 // --- DIMACS .col ----------------------------------------------------------
 
-ReadResult read_dimacs(LineReader& r) {
+ReadResult read_dimacs(std::string& text, const std::string& name) {
   ReadResult out;
   out.stats.format = GraphFormat::kDimacs;
+  LineCursor r(text, name);
   EdgeAccumulator acc;
   bool have_problem = false;
   std::int64_t declared_m = 0;
@@ -106,74 +180,101 @@ ReadResult read_dimacs(LineReader& r) {
     r.fail_eof("problem line declared " + std::to_string(declared_m) +
                " edges but the file contains " +
                std::to_string(out.stats.edge_records) + " 'e' lines");
-  out.graph = acc.finish(r.name, out.stats);
+  release(text);
+  out.graph = acc.finish(name, out.stats);
   return out;
 }
 
 // --- METIS / Chaco adjacency ---------------------------------------------
 
-ReadResult read_metis(LineReader& r) {
+struct MetisChunk {
+  EdgeAccumulator acc;
+  std::int64_t entries = 0;
+  std::int64_t comments = 0;
+};
+
+ReadResult read_metis(std::string& text, const std::string& name,
+                      int threads) {
   ReadResult out;
   out.stats.format = GraphFormat::kMetis;
   // Header: "<n> <m> [fmt [ncon]]" after any leading % comments.
-  std::vector<Token> header;
-  while (r.next()) {
-    if (!r.line.empty() && r.line[0] == '%') {
-      ++out.stats.comment_lines;
-      continue;
-    }
-    header = r.tokens();
-    if (!header.empty()) break;
-  }
-  if (header.empty())
-    r.fail_eof("file ends before the '<vertices> <edges> [fmt]' header");
+  LineCursor head(text, name);
+  if (!next_data_line(head, out.stats.comment_lines))
+    head.fail_eof("file ends before the '<vertices> <edges> [fmt]' header");
   const io_detail::MetisHeader h =
-      io_detail::parse_metis_header_tokens(r, header);
-  EdgeAccumulator acc;
-  acc.n = h.n;
+      io_detail::parse_metis_header_tokens(head, head.tokens());
 
   // One adjacency line per vertex (blank = isolated); % comments anywhere.
-  std::int64_t vertex = 0;
+  // A chunk's vertex ids continue from the data lines before it.
+  BodyPos end;
+  std::vector<MetisChunk> parts = parse_chunks<MetisChunk>(
+      head.rest(), name, head.lineno + 1, threads, end,
+      [&](LineCursor& r, MetisChunk& part, BodyPos start) {
+        part.acc.n = h.n;
+        std::int64_t vertex = start.data;
+        while (r.next()) {
+          if (!r.line.empty() && r.line[0] == '%') {
+            ++part.comments;
+            continue;
+          }
+          const std::vector<Token>& toks = r.tokens();
+          if (vertex >= h.n) {
+            // Past the declared adjacency lines only blanks and comments
+            // may follow.
+            if (!toks.empty())
+              r.fail(1, "data after the last of the " + std::to_string(h.n) +
+                            " declared adjacency lines");
+          } else {
+            part.entries += io_detail::parse_metis_line(
+                r, toks, h, static_cast<Vertex>(vertex), part.acc);
+          }
+          ++vertex;
+        }
+      });
+
+  if (end.data < h.n)
+    fail_at(name, end.line, 1,
+            "file ends after " + std::to_string(end.data) + " of the " +
+                std::to_string(h.n) + " declared adjacency lines");
   std::int64_t entries = 0;
-  while (vertex < acc.n) {
-    if (!r.next())
-      r.fail_eof("file ends after " + std::to_string(vertex) +
-                 " of the " + std::to_string(acc.n) +
-                 " declared adjacency lines");
-    if (!r.line.empty() && r.line[0] == '%') {
-      ++out.stats.comment_lines;
-      continue;
-    }
-    entries += io_detail::parse_metis_line(r, r.tokens(), h,
-                                           static_cast<Vertex>(vertex), acc);
-    ++vertex;
-  }
-  while (r.next()) {
-    if (!r.line.empty() && r.line[0] == '%') {
-      ++out.stats.comment_lines;
-      continue;
-    }
-    if (!r.tokens().empty())
-      r.fail(1, "data after the last of the " + std::to_string(acc.n) +
-                    " declared adjacency lines");
+  std::size_t total_pairs = 0;
+  for (const MetisChunk& p : parts) {
+    entries += p.entries;
+    total_pairs += p.acc.edges.size();
+    out.stats.comment_lines += p.comments;
   }
   if (entries != 2 * h.declared_m)
-    r.fail_eof("header declared " + std::to_string(h.declared_m) +
-               " edges (" + std::to_string(2 * h.declared_m) +
-               " adjacency entries; each edge appears twice) but the "
-               "lists contain " + std::to_string(entries) + " entries");
-  out.stats.declared_n = acc.n;
+    fail_at(name, end.line, 1,
+            "header declared " + std::to_string(h.declared_m) + " edges (" +
+                std::to_string(2 * h.declared_m) +
+                " adjacency entries; each edge appears twice) but the "
+                "lists contain " + std::to_string(entries) + " entries");
+
+  // Concatenate in chunk order. Chunks cover increasing lines, so the
+  // first chunk that saw id 0 (or id n) holds its first line.
+  EdgeAccumulator acc = std::move(parts[0].acc);
+  acc.edges.reserve(total_pairs);
+  for (std::size_t i = 1; i < parts.size(); ++i) {
+    EdgeAccumulator& p = parts[i].acc;
+    acc.edges.insert(acc.edges.end(), p.edges.begin(), p.edges.end());
+    std::vector<Edge>().swap(p.edges);
+    if (acc.first_zero_line == 0) acc.first_zero_line = p.first_zero_line;
+    if (acc.first_n_line == 0) acc.first_n_line = p.first_n_line;
+  }
+  out.stats.declared_n = h.n;
   out.stats.declared_m = h.declared_m;
   out.stats.edge_records = entries;
-  out.graph = io_detail::finish_metis(r.name, acc, out.stats);
+  release(text);
+  out.graph = io_detail::finish_metis(name, acc, out.stats);
   return out;
 }
 
 // --- Matrix Market coordinate --------------------------------------------
 
-ReadResult read_matrix_market(LineReader& r) {
+ReadResult read_matrix_market(std::string& text, const std::string& name) {
   ReadResult out;
   out.stats.format = GraphFormat::kMatrixMarket;
+  LineCursor r(text, name);
   if (!r.next()) r.fail_eof("empty file (expected a %%MatrixMarket header)");
   std::vector<Token> head = r.tokens();
   if (head.empty() || head[0].text != "%%MatrixMarket")
@@ -214,17 +315,9 @@ ReadResult read_matrix_market(LineReader& r) {
                             "skew-symmetric, or hermitian)");
 
   // Size line after % comments.
-  std::vector<Token> size;
-  while (r.next()) {
-    if (!r.line.empty() && r.line[0] == '%') {
-      ++out.stats.comment_lines;
-      continue;
-    }
-    size = r.tokens();
-    if (!size.empty()) break;
-  }
-  if (size.empty())
+  if (!next_data_line(r, out.stats.comment_lines))
     r.fail_eof("file ends before the '<rows> <cols> <entries>' size line");
+  const std::vector<Token> size = r.tokens();
   if (size.size() != 3)
     r.fail(size[0].col, "size line must be '<rows> <cols> <entries>', got " +
                             std::to_string(size.size()) + " token(s)");
@@ -272,36 +365,79 @@ ReadResult read_matrix_market(LineReader& r) {
   out.stats.declared_n = rows;
   out.stats.declared_m = nnz;
   out.stats.edge_records = entries;
-  out.graph = acc.finish(r.name, out.stats);
+  release(text);
+  out.graph = acc.finish(name, out.stats);
   return out;
 }
 
 // --- Whitespace edge list -------------------------------------------------
 
-ReadResult read_edge_list(LineReader& r) {
+struct EdgeListChunk {
+  std::vector<std::pair<std::int64_t, std::int64_t>> raw;
+  std::int64_t records = 0;
+  std::int64_t comments = 0;
+  std::int64_t self_loops = 0;
+};
+
+ReadResult read_edge_list(std::string& text, const std::string& name,
+                          int threads) {
   ReadResult out;
   out.stats.format = GraphFormat::kEdgeList;
   // Arbitrary non-negative 64-bit ids (SNAP-style dumps routinely use
   // hashes); vertices are the distinct ids, remapped to 0..n-1 in sorted
   // order. Isolated vertices are unrepresentable -- documented in
   // docs/FORMATS.md.
-  std::vector<std::pair<std::int64_t, std::int64_t>> raw;
+  BodyPos end;
+  std::vector<EdgeListChunk> parts = parse_chunks<EdgeListChunk>(
+      text, name, 1, threads, end,
+      [&](LineCursor& r, EdgeListChunk& part, BodyPos) {
+        while (r.next()) {
+          if (r.line.empty()) continue;
+          const char c0 = r.line[0];
+          if (c0 == '#' || c0 == '%') {
+            ++part.comments;
+            continue;
+          }
+          const std::vector<Token>& toks = r.tokens();
+          if (toks.empty()) continue;
+          io_detail::parse_edge_list_line(r, toks, part.raw, part.records,
+                                          part.self_loops);
+        }
+      });
+
+  std::size_t total_raw = 0;
   std::int64_t self_loops = 0;
-  while (r.next()) {
-    if (r.line.empty()) continue;
-    const char c0 = r.line[0];
-    if (c0 == '#' || c0 == '%') {
-      ++out.stats.comment_lines;
-      continue;
-    }
-    const std::vector<Token>& toks = r.tokens();
-    if (toks.empty()) continue;
-    io_detail::parse_edge_list_line(r, toks, raw, out.stats.edge_records,
-                                    self_loops);
+  for (const EdgeListChunk& p : parts) {
+    total_raw += p.raw.size();
+    out.stats.edge_records += p.records;
+    out.stats.comment_lines += p.comments;
+    self_loops += p.self_loops;
   }
-  out.graph = io_detail::finish_edge_list(r.name, r.lineno + 1, raw,
-                                          self_loops, out.stats);
+  std::vector<std::pair<std::int64_t, std::int64_t>> raw =
+      std::move(parts[0].raw);
+  raw.reserve(total_raw);
+  for (std::size_t i = 1; i < parts.size(); ++i) {
+    raw.insert(raw.end(), parts[i].raw.begin(), parts[i].raw.end());
+    std::vector<std::pair<std::int64_t, std::int64_t>>().swap(parts[i].raw);
+  }
+  release(text);
+  out.graph =
+      io_detail::finish_edge_list(name, end.line, raw, self_loops, out.stats);
   return out;
+}
+
+// Parses the whole input buffer in an explicit format; `threads` is the
+// METIS / edge-list chunk count (DIMACS and Matrix Market are one chunk).
+ReadResult parse_buffer(std::string& text, GraphFormat format,
+                        const std::string& name, int threads) {
+  switch (format) {
+    case GraphFormat::kDimacs: return read_dimacs(text, name);
+    case GraphFormat::kMetis: return read_metis(text, name, threads);
+    case GraphFormat::kMatrixMarket: return read_matrix_market(text, name);
+    case GraphFormat::kEdgeList: return read_edge_list(text, name, threads);
+    case GraphFormat::kAuto: break;
+  }
+  throw InternalError("unreachable GraphFormat");
 }
 
 // --- Writers --------------------------------------------------------------
@@ -334,11 +470,17 @@ void write_matrix_market(std::ostream& out, const Graph& g) {
     out << (v + 1) << " " << (u + 1) << "\n";
 }
 
-void write_edge_list(std::ostream& out, const Graph& g) {
+// Throws PreconditionError when `format` cannot represent `g`: an edge
+// list has no way to name an isolated vertex.
+void require_representable(const Graph& g, GraphFormat format) {
+  if (format != GraphFormat::kEdgeList) return;
   for (Vertex v = 0; v < g.num_vertices(); ++v)
     SCOL_REQUIRE(g.degree(v) > 0,
                  + ("edge-list format cannot represent isolated vertex " +
                     std::to_string(v)));
+}
+
+void write_edge_list(std::ostream& out, const Graph& g) {
   for (const auto& [u, v] : g.edges()) out << u << " " << v << "\n";
 }
 
@@ -395,15 +537,8 @@ ReadResult read_graph(std::istream& in, GraphFormat format,
   SCOL_REQUIRE(format != GraphFormat::kAuto,
                + "read_graph needs an explicit format (sniffing requires a "
                  "path; use read_graph_file)");
-  LineReader r{in, name};
-  switch (format) {
-    case GraphFormat::kDimacs: return read_dimacs(r);
-    case GraphFormat::kMetis: return read_metis(r);
-    case GraphFormat::kMatrixMarket: return read_matrix_market(r);
-    case GraphFormat::kEdgeList: return read_edge_list(r);
-    case GraphFormat::kAuto: break;
-  }
-  throw InternalError("unreachable GraphFormat");
+  std::string text = read_all(in, name, 0);
+  return parse_buffer(text, format, name, 1);
 }
 
 GraphFormat sniff_format(const std::string& path, const std::string& head) {
@@ -435,31 +570,20 @@ ReadResult read_graph_file(const std::string& path, GraphFormat format,
   std::ifstream in(path, std::ios::binary);
   if (!in)
     throw PreconditionError(path + ": cannot open file for reading");
-  if (format == GraphFormat::kAuto) {
-    char head[256];
-    in.read(head, sizeof(head));
-    const std::string head_str(head, static_cast<std::size_t>(in.gcount()));
-    format = sniff_format(path, head_str);
-    in.clear();
-    in.seekg(0);
-  }
-  int threads = options.threads;
-  if (threads <= 0)
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  // The chunk-parallel reader covers the two formats whose grammar is
-  // line-splittable without lookahead (edge list, METIS). DIMACS and
-  // Matrix Market stay streaming — their header/count structure is
-  // sequential — as does any file the platform cannot mmap.
-  if (threads > 1 && (format == GraphFormat::kEdgeList ||
-                      format == GraphFormat::kMetis)) {
-    ReadResult out;
-    if (io_detail::try_read_file_parallel(path, format, threads, out))
-      return out;
-  }
-  return read_graph(in, format, path);
+  // The size presizes the buffer; pipes and other special files have
+  // none and are read to their end all the same.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::is_regular_file(path, ec)
+                                  ? std::filesystem::file_size(path, ec)
+                                  : 0;
+  std::string text = read_all(in, path, ec ? 0 : size);
+  if (format == GraphFormat::kAuto)
+    format = sniff_format(path, text.substr(0, 256));
+  return parse_buffer(text, format, path, options.threads);
 }
 
 void write_graph(std::ostream& out, const Graph& g, GraphFormat format) {
+  require_representable(g, format);
   switch (format) {
     case GraphFormat::kDimacs: write_dimacs(out, g); return;
     case GraphFormat::kMetis: write_metis(out, g); return;
@@ -478,12 +602,26 @@ void write_graph_file(const std::string& path, const Graph& g,
                  + (path + ": cannot infer a write format from the "
                     "extension; pass one explicitly"));
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out)
-    throw PreconditionError(path + ": cannot open file for writing");
-  write_graph(out, g, format);
-  out.flush();
-  if (!out) throw PreconditionError(path + ": write failed");
+  // Refuse before any file exists, then write a temp sibling and rename
+  // it into place, so a failure never leaves a partial file at `path`.
+  require_representable(g, format);
+  const std::string tmp = path + ".tmp";
+  try {
+    std::ofstream out(tmp, std::ios::binary);
+    if (!out)
+      throw PreconditionError(path + ": cannot open file for writing");
+    write_graph(out, g, format);
+    out.close();
+    if (!out) throw PreconditionError(path + ": write failed");
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    if (ec)
+      throw PreconditionError(path + ": cannot move the written file into "
+                              "place: " + ec.message());
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
 }
 
 }  // namespace scol

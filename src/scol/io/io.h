@@ -10,9 +10,11 @@
 //   kMatrixMarket Matrix Market coordinate format (.mtx, .mm)
 //   kEdgeList     whitespace edge list (.edges, .el, .edgelist, .txt)
 //
-// All readers are single-pass line-buffered parsers that are tolerant of
-// real-world files — comments, CRLF line endings, 0- vs 1-based vertex
-// ids (auto-detected where the format allows both), duplicate edges,
+// Every reader first reads its whole input (file or pipe) into one
+// in-memory buffer with plain reads, then parses it through one line
+// cursor. The readers are tolerant of real-world files — comments, CRLF
+// line endings, 0- vs 1-based vertex ids (auto-detected where the
+// format allows both), duplicate edges,
 // and self-loops (dropped, counted in ReadStats) — while rejecting
 // structural lies (wrong declared edge counts, out-of-range endpoints,
 // truncated files) with a PreconditionError whose message carries the
@@ -70,28 +72,29 @@ struct ReadResult {
   ReadStats stats;
 };
 
-/// Reads a graph from a stream in an explicit format (kAuto is invalid
-/// here — a bare stream has no extension to sniff; use read_graph_file
-/// or sniff_format first). `name` labels error positions ("<stdin>", a
-/// path). Throws PreconditionError with "name:line:column: ..." on any
-/// malformed input.
+/// Reads a graph from the rest of a stream, as one chunk, in an explicit
+/// format (kAuto is invalid here — a bare stream has no extension to
+/// sniff; use read_graph_file or sniff_format first). `name` labels
+/// error positions ("<stdin>", a path). Throws PreconditionError with
+/// "name:line:column: ..." on any malformed input.
 ReadResult read_graph(std::istream& in, GraphFormat format,
                       const std::string& name);
 
-/// Opens and reads `path`; kAuto resolves via sniff_format (extension
-/// first, then a peek at the leading content). Throws PreconditionError
-/// when the file cannot be opened or parsed.
+/// Opens and reads `path` (a pipe such as /dev/stdin works too); kAuto
+/// resolves via sniff_format (extension first, then a peek at the
+/// buffered leading content). Throws PreconditionError when the file
+/// cannot be opened or parsed.
 ReadResult read_graph_file(const std::string& path,
                            GraphFormat format = GraphFormat::kAuto);
 
 /// How read_graph_file ingests the file.
 struct ReadOptions {
-  /// Reader parallelism: 1 = the streaming line reader (default), n > 1
-  /// = mmap the file and parse n newline-aligned chunks concurrently,
-  /// 0 = one chunk per hardware thread. The parallel reader covers the
-  /// edge-list and METIS formats; DIMACS / Matrix Market / unmappable
-  /// files silently fall back to streaming. Both paths produce
-  /// bit-identical graphs, ReadStats, and error messages (the contract
+  /// Chunk count: the edge-list and METIS readers split the buffered
+  /// input into this many newline-aligned chunks and parse them
+  /// concurrently; 1 = one chunk on the calling thread (default), 0 =
+  /// one chunk per hardware thread. DIMACS and Matrix Market always
+  /// parse as one chunk. Every count produces bit-identical graphs,
+  /// ReadStats, and error messages (the contract
   /// tests/test_csr_differential.cpp pins), so this knob is purely a
   /// throughput choice.
   int threads = 1;
@@ -117,7 +120,10 @@ GraphFormat sniff_format(const std::string& path, const std::string& head);
 /// contract of tests/test_io.cpp).
 void write_graph(std::ostream& out, const Graph& g, GraphFormat format);
 
-/// Writes to `path`; kAuto resolves the format from the extension.
+/// Writes to `path`; kAuto resolves the format from the extension. A
+/// graph the format cannot represent throws before any file is
+/// created; otherwise the graph goes to `path + ".tmp"` and is renamed
+/// into place, so a failure never leaves a partial file at `path`.
 void write_graph_file(const std::string& path, const Graph& g,
                       GraphFormat format = GraphFormat::kAuto);
 

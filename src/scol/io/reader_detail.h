@@ -1,21 +1,12 @@
-// Internal parsing core shared by the streaming reader (io.cpp) and the
-// mmap parallel reader (parallel.cpp).
+// Internal parsing core of the graph readers (io.cpp).
 //
-// Everything here is templated on a *context* type `Ctx` that supplies
-// the error-position state:
-//
-//   struct Ctx {
-//     std::size_t lineno;                               // 1-based
-//     [[noreturn]] void fail(std::size_t col, const std::string& what);
-//   };
-//
-// The streaming LineReader throws a PreconditionError directly; the
-// parallel reader's chunk context throws a lightweight ChunkError that
-// the merge step converts into the identical PreconditionError for the
-// earliest (line, col) across all chunks. Because both readers run the
-// SAME token, number, and line parsers, a given input line produces a
-// byte-identical error message either way — the property the
-// differential and fuzz tests (test_csr_differential.cpp,
+// Every reader parses one in-memory buffer through a LineCursor: the
+// cursor yields CRLF-stripped lines, carries the global 1-based line
+// number, and throws the "name:line:col: what" PreconditionError. The
+// METIS and edge-list drivers run one cursor per newline-aligned chunk,
+// each started at its chunk's global first line, so a given input line
+// produces a byte-identical error message at every chunk count — the
+// property the differential and fuzz tests (test_csr_differential.cpp,
 // test_io_fuzz.cpp) pin.
 //
 // Not installed; include only from within src/scol/io/.
@@ -25,6 +16,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -51,9 +43,8 @@ namespace io_detail {
 }
 
 // One whitespace-separated token and where it started (1-based column).
-// `text` views into the line buffer, so tokens are only valid while the
-// line they were cut from is alive — both readers consume a line's
-// tokens before fetching the next line.
+// `text` views into the input buffer, so tokens stay valid while that
+// buffer is alive.
 struct Token {
   std::string_view text;
   std::size_t col = 0;
@@ -79,8 +70,59 @@ inline void tokenize(std::string_view line, std::vector<Token>& out) {
   }
 }
 
-template <class Ctx>
-std::int64_t parse_int64(const Ctx& r, const Token& tok, const char* what) {
+// Line cursor over a newline-aligned chunk of the input buffer. `line`
+// is the current line with one trailing '\r' stripped (CRLF); `lineno`
+// is its global 1-based number, so a chunk that starts mid-file reports
+// the same positions as a cursor over the whole buffer.
+class LineCursor {
+ public:
+  LineCursor(std::string_view text, const std::string& name,
+             std::size_t first_line = 1)
+      : lineno(first_line - 1), text_(text), name_(name) {}
+
+  // Advances to the next line; false at the end of the chunk.
+  bool next() {
+    if (pos_ >= text_.size()) return false;
+    const char* nl = static_cast<const char*>(
+        std::memchr(text_.data() + pos_, '\n', text_.size() - pos_));
+    const std::size_t end =
+        nl != nullptr ? static_cast<std::size_t>(nl - text_.data())
+                      : text_.size();
+    line = text_.substr(pos_, end - pos_);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    pos_ = nl != nullptr ? end + 1 : text_.size();
+    ++lineno;
+    return true;
+  }
+
+  // Tokenizes the current line into the reused buffer.
+  const std::vector<Token>& tokens() {
+    tokenize(line, toks_);
+    return toks_;
+  }
+
+  // The unread rest of the chunk (starts at a line boundary).
+  std::string_view rest() const { return text_.substr(pos_); }
+
+  [[noreturn]] void fail(std::size_t col, const std::string& what) const {
+    fail_at(name_, lineno, col, what);
+  }
+  [[noreturn]] void fail_eof(const std::string& what) const {
+    fail_at(name_, lineno + 1, 1, what);
+  }
+
+  std::string_view line;
+  std::size_t lineno;
+
+ private:
+  std::string_view text_;
+  const std::string& name_;
+  std::size_t pos_ = 0;
+  std::vector<Token> toks_;
+};
+
+inline std::int64_t parse_int64(const LineCursor& r, const Token& tok,
+                                const char* what) {
   std::string_view sv = tok.text;
   // strtoll tolerance: an explicit leading '+' on a digit is accepted.
   if (sv.size() >= 2 && sv[0] == '+' &&
@@ -96,8 +138,8 @@ std::int64_t parse_int64(const Ctx& r, const Token& tok, const char* what) {
 
 // Weights are validated (a stray word is a malformed file) but never
 // used, so any numeric token -- "3", "0.5", "1e-3" -- is acceptable.
-template <class Ctx>
-void parse_numeric(const Ctx& r, const Token& tok, const char* what) {
+inline void parse_numeric(const LineCursor& r, const Token& tok,
+                          const char* what) {
   const std::string text = str(tok.text);
   char* end = nullptr;
   (void)std::strtod(text.c_str(), &end);
@@ -106,8 +148,8 @@ void parse_numeric(const Ctx& r, const Token& tok, const char* what) {
                         str(tok.text) + "'");
 }
 
-template <class Ctx>
-std::int64_t parse_count(const Ctx& r, const Token& tok, const char* what) {
+inline std::int64_t parse_count(const LineCursor& r, const Token& tok,
+                                const char* what) {
   const std::int64_t v = parse_int64(r, tok, what);
   if (v < 0)
     r.fail(tok.col, std::string(what) + " must be non-negative, got '" +
@@ -119,8 +161,8 @@ std::int64_t parse_count(const Ctx& r, const Token& tok, const char* what) {
 // limit build — CSR offsets are 64-bit throughout, so the EDGE count is
 // unconstrained — but a declared vertex count past it cannot be
 // represented and must fail loudly, not wrap into a small wrong graph.
-template <class Ctx>
-std::int64_t parse_vertex_count(const Ctx& r, const Token& tok) {
+inline std::int64_t parse_vertex_count(const LineCursor& r,
+                                       const Token& tok) {
   const std::int64_t v = parse_count(r, tok, "vertex count");
   if (v > std::numeric_limits<Vertex>::max())
     r.fail(tok.col,
@@ -137,8 +179,7 @@ std::int64_t parse_vertex_count(const Ctx& r, const Token& tok) {
 inline constexpr std::int64_t kMaxDeclaredEdges =
     std::numeric_limits<std::int64_t>::max() / 2;
 
-template <class Ctx>
-std::int64_t parse_edge_count(const Ctx& r, const Token& tok) {
+inline std::int64_t parse_edge_count(const LineCursor& r, const Token& tok) {
   const std::int64_t v = parse_count(r, tok, "edge count");
   if (v > kMaxDeclaredEdges)
     r.fail(tok.col, "edge count " + str(tok.text) +
@@ -156,10 +197,10 @@ std::int64_t parse_edge_count(const Ctx& r, const Token& tok) {
 // each extreme first appeared. Self-loops and duplicate edges are
 // dropped and counted, never errors — real benchmark files contain both.
 //
-// The parallel reader runs one accumulator per chunk (lineno in the
-// context is already global, so the recorded first_zero/first_n lines
-// merge by plain min) and concatenates the edge vectors in chunk order,
-// which reproduces the streaming accumulator state exactly.
+// The METIS driver runs one accumulator per chunk and concatenates the
+// edge vectors in chunk order; cursor line numbers are global, so the
+// first chunk that recorded first_zero/first_n holds the earliest line.
+// That yields the one-chunk accumulator state exactly.
 struct EdgeAccumulator {
   std::int64_t n = 0;
   std::vector<Edge> edges;          // raw, pre-index-resolution
@@ -169,8 +210,8 @@ struct EdgeAccumulator {
 
   // `lo` is the smallest id this format ever allows (0 for the
   // auto-detecting formats, 1 for Matrix Market which is firmly 1-based).
-  template <class Ctx>
-  void add(const Ctx& r, const Token& ut, const Token& vt, std::int64_t lo) {
+  void add(const LineCursor& r, const Token& ut, const Token& vt,
+           std::int64_t lo) {
     const std::int64_t u = parse_int64(r, ut, "vertex id");
     const std::int64_t v = parse_int64(r, vt, "vertex id");
     check_range(r, u, ut, lo);
@@ -178,8 +219,7 @@ struct EdgeAccumulator {
     edges.emplace_back(static_cast<Vertex>(u), static_cast<Vertex>(v));
   }
 
-  template <class Ctx>
-  void check_range(const Ctx& r, std::int64_t id, const Token& tok,
+  void check_range(const LineCursor& r, std::int64_t id, const Token& tok,
                    std::int64_t lo) {
     if (id < lo || id > n)
       r.fail(tok.col, "vertex id " + str(tok.text) + " out of range [" +
@@ -239,9 +279,8 @@ struct MetisHeader {
 
 // Validates the "<n> <m> [fmt [ncon]]" header tokens (leading comments
 // already skipped by the caller).
-template <class Ctx>
-MetisHeader parse_metis_header_tokens(const Ctx& r,
-                                      const std::vector<Token>& header) {
+inline MetisHeader parse_metis_header_tokens(
+    const LineCursor& r, const std::vector<Token>& header) {
   if (header.size() < 2 || header.size() > 4)
     r.fail(header[0].col,
            "header must be '<vertices> <edges> [fmt [ncon]]', got " +
@@ -270,10 +309,10 @@ MetisHeader parse_metis_header_tokens(const Ctx& r,
 // declared weight tokens, range-checks every neighbor id, and records
 // (vertex, raw neighbor) pairs in `acc`. Returns the number of adjacency
 // entries consumed.
-template <class Ctx>
-std::int64_t parse_metis_line(const Ctx& r, const std::vector<Token>& toks,
-                              const MetisHeader& h, Vertex vertex,
-                              EdgeAccumulator& acc) {
+inline std::int64_t parse_metis_line(const LineCursor& r,
+                                     const std::vector<Token>& toks,
+                                     const MetisHeader& h, Vertex vertex,
+                                     EdgeAccumulator& acc) {
   std::size_t i = 0;
   if (h.vertex_sizes) ++i;                         // skip the size token
   i += static_cast<std::size_t>(h.ncon);           // skip vertex weights
@@ -359,9 +398,8 @@ inline Graph finish_metis(const std::string& name, EdgeAccumulator& acc,
 
 // Parses one non-comment, non-blank edge-list line into `raw` (normalized
 // min/max id pairs; self-loops counted and dropped).
-template <class Ctx>
-void parse_edge_list_line(
-    const Ctx& r, const std::vector<Token>& toks,
+inline void parse_edge_list_line(
+    const LineCursor& r, const std::vector<Token>& toks,
     std::vector<std::pair<std::int64_t, std::int64_t>>& raw,
     std::int64_t& edge_records, std::int64_t& self_loops) {
   if (toks.size() != 2 && toks.size() != 3)
@@ -387,8 +425,7 @@ void parse_edge_list_line(
 
 // Edge-list tail: dense relabeling of the distinct raw ids in sorted
 // order, then the dedup build. `eof_line` is the 1-based line number one
-// past the last line (where streaming fail_eof reports file-level
-// errors).
+// past the last line (where fail_eof reports file-level errors).
 inline Graph finish_edge_list(
     const std::string& name, std::size_t eof_line,
     const std::vector<std::pair<std::int64_t, std::int64_t>>& raw,
@@ -423,20 +460,6 @@ inline Graph finish_edge_list(
   stats.zero_indexed = !ids.empty() && ids.front() == 0;
   return g;
 }
-
-// --- Parallel reader entry point (parallel.cpp). -------------------------
-
-/// True when this build can mmap files (POSIX). When false,
-/// read_graph_file silently stays on the streaming reader.
-bool parallel_read_supported();
-
-/// Attempts the mmap chunk-parallel read of `path` (format must be
-/// kEdgeList or kMetis). Returns false — leaving `out` untouched — when
-/// the file cannot be mapped (unsupported platform, empty file, special
-/// file); the caller then falls back to streaming. Parse errors throw
-/// the same PreconditionError the streaming reader would.
-bool try_read_file_parallel(const std::string& path, GraphFormat format,
-                            int threads, ReadResult& out);
 
 }  // namespace io_detail
 }  // namespace scol

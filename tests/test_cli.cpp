@@ -11,6 +11,7 @@
 #include <fstream>
 #include <string>
 
+#include "scol/api/json.h"
 #include "scol/version.h"
 
 namespace scol {
@@ -164,6 +165,60 @@ TEST(Cli, OneShotAnswersAndFailuresMapToExitCodes) {
   // errors (the report-level exit 1 is pinned by one_shot_exit_code's
   // own tests against kFailed reports).
   EXPECT_EQ(run(bin + " --algo no-such-algo").exit_code, 2);
+}
+
+// A one-shot report with scenario.spec dropped: the one field that names
+// where the graph came from.
+std::string without_spec(const std::string& report) {
+  const Json parsed = Json::parse(report);
+  Json stripped = Json::object();
+  for (const auto& [key, value] : parsed.members()) {
+    if (key != "scenario") {
+      stripped.set(key, value);
+      continue;
+    }
+    Json scenario = Json::object();
+    for (const auto& [k, v] : value.members())
+      if (k != "spec") scenario.set(k, v);
+    stripped.set(key, std::move(scenario));
+  }
+  return stripped.dump();
+}
+
+TEST(Cli, PipedFileReadsMatchPathReads) {
+  const std::string bin = binary("scol-cli");
+  SKIP_WITHOUT(bin);
+  // A pipe cannot seek: format sniffing and the chunkd METIS read must
+  // work from the buffered input all the same.
+  const std::string graphs = std::string(SCOL_REPO_DIR) + "/examples/graphs/";
+  for (const auto& [file, params] :
+       {std::pair<std::string, std::string>{"grotzsch.col", ""},
+        {"grid8x8.graph", ",format=metis,threads=4"}}) {
+    const std::string args = " --algo greedy --no-timing --gen file:path=";
+    const RunResult piped = run("cat '" + graphs + file + "' | " + bin +
+                                args + "/dev/stdin" + params);
+    const RunResult direct = run(bin + args + graphs + file + params);
+    ASSERT_EQ(piped.exit_code, 0) << file << "\n" << piped.output;
+    ASSERT_EQ(direct.exit_code, 0) << file << "\n" << direct.output;
+    EXPECT_EQ(without_spec(piped.output), without_spec(direct.output))
+        << file;
+  }
+}
+
+TEST(Cli, GenRefusesUnrepresentableGraphWithoutPartialFile) {
+  const std::string bin = binary("scol-cli");
+  SKIP_WITHOUT(bin);
+  // RMAT leaves isolated vertices, which an edge list cannot name: a
+  // runtime failure (exit 1) that must leave neither the file nor its
+  // temp sibling behind.
+  const std::string out = ::testing::TempDir() + "/scol_cli_gen_rmat.edges";
+  std::remove(out.c_str());
+  const RunResult r =
+      run(bin + " gen --gen rmat:scale=8 --format edges --out " + out);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("isolated vertex"), std::string::npos) << r.output;
+  EXPECT_FALSE(exists(out));
+  EXPECT_FALSE(exists(out + ".tmp"));
 }
 
 TEST(Cli, ServePipeModeRoundTrips) {

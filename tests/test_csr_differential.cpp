@@ -8,12 +8,13 @@
 // adjacency sets), on random inputs: identical degree sequences, identical
 // neighbor sets, and bit-identical end-to-end solve() reports no matter
 // which path built the graph.
-// The mmap parallel reader (io/parallel.cpp) is a fourth path into the
-// same CSR: it must be bit-identical to the streaming reader — graph,
-// ReadStats, and error messages — on every input, for every thread
-// count. The differential suite at the bottom pins that contract on the
-// bundled examples, on generated million-edge instances, and on
-// malformed files.
+// The chunked reader is a fourth path into the same CSR: a read with
+// ReadOptions::threads = n parses n newline-aligned chunks, and it must
+// be bit-identical to the one-chunk read — graph, ReadStats, and error
+// messages — on every input, for every thread count, and so must a read
+// of the same bytes from a stream. The differential suite at the bottom
+// pins that contract on the bundled examples, on generated million-edge
+// instances, and on malformed files.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -168,7 +169,7 @@ TEST(CsrDifferential, SolveReportsIdenticalAcrossBuildPaths) {
   }
 }
 
-// --- Parallel mmap reader vs streaming reader -----------------------------
+// --- Chunked reads vs the one-chunk read ----------------------------------
 
 const int kThreadCounts[] = {2, 3, 8};
 
@@ -199,8 +200,16 @@ void expect_identical_reads(const ReadResult& streaming,
   EXPECT_EQ(s.zero_indexed, p.zero_indexed) << label;
 }
 
+// The same file through read_graph(std::istream&), labelled with its
+// path so error messages compare byte for byte.
+ReadResult read_stream(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return read_graph(in, sniff_format(path, ""), path);
+}
+
 void expect_thread_counts_agree(const std::string& path) {
   const ReadResult streaming = read_graph_file(path);
+  expect_identical_reads(streaming, read_stream(path), path + " @ stream");
   for (const int threads : kThreadCounts) {
     ReadOptions options;
     options.threads = threads;
@@ -211,8 +220,8 @@ void expect_thread_counts_agree(const std::string& path) {
 }
 
 TEST(ParallelReader, BundledExamplesBitIdenticalAcrossThreadCounts) {
-  // All four formats: .graph and .edges exercise the parallel path,
-  // .col and .mtx its documented fallback to streaming.
+  // All four formats: .graph and .edges split into chunks, .col and
+  // .mtx always parse as one chunk.
   for (const char* name :
        {"grotzsch.col", "grid8x8.graph", "petersen.mtx", "heawood.edges"})
     expect_thread_counts_agree(std::string(SCOL_REPO_DIR) +
@@ -247,9 +256,10 @@ TEST(ParallelReader, RmatMetisRoundTripBitIdentical) {
   std::remove(path.c_str());
 }
 
-// Malformed inputs: the parallel reader must report the SAME error, with
-// the same "name:line:col" position, as the streaming reader — including
-// when the offending line is deep inside a late chunk.
+// Malformed inputs: every thread count and the stream read must report
+// the SAME error, with the same "name:line:col" position, as the
+// one-chunk read — including when the offending line is deep inside a
+// late chunk.
 void expect_same_error(const std::string& path) {
   std::string streaming_error;
   try {
@@ -257,6 +267,12 @@ void expect_same_error(const std::string& path) {
     FAIL() << path << ": expected a PreconditionError";
   } catch (const PreconditionError& e) {
     streaming_error = e.what();
+  }
+  try {
+    read_stream(path);
+    FAIL() << path << ": expected a PreconditionError @ stream";
+  } catch (const PreconditionError& e) {
+    EXPECT_EQ(streaming_error, std::string(e.what())) << path << " @ stream";
   }
   for (const int threads : kThreadCounts) {
     ReadOptions options;
@@ -311,7 +327,10 @@ TEST(ParallelReader, ErrorsMatchStreamingByteForByte) {
   std::string bad = "5000 4999\n2\n";
   for (int i = 2; i <= 5000; ++i) {
     bad += std::to_string(i - 1);
-    if (i < 5000) bad += " " + std::to_string(i + 1);
+    if (i < 5000) {
+      bad += " ";
+      bad += std::to_string(i + 1);
+    }
     if (i == 4321) bad += " pear";
     bad += "\n";
   }

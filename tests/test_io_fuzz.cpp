@@ -3,10 +3,10 @@
 // Seeded mutations of valid files — truncation, byte flips, huge
 // tokens, CRLF mixes, spliced and split lines — must either parse or
 // throw a position-prefixed PreconditionError ("name:line:col: ...");
-// they must never crash or hang, and for the formats the mmap parallel
-// reader covers (edge list, METIS) the streaming and parallel readers
-// must produce the SAME outcome: an identical graph and ReadStats, or a
-// byte-identical error message.
+// they must never crash or hang, and for the formats the reader splits
+// into chunks (edge list, METIS) every chunk count must produce the SAME
+// outcome: an identical graph and ReadStats, or a byte-identical error
+// message.
 //
 // The default sweep is sized for the tier-1 inner loop; CMake registers
 // a second `test_io_fuzz_sweep` instance with SCOL_FUZZ_ITERS=1200
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "scol/io/io.h"
 #include "scol/util/rng.h"
@@ -196,8 +197,10 @@ void expect_same_outcome(const Outcome& a, const Outcome& b,
 
 void run_fuzz(const std::string& tag, const std::string& seed_text,
               GraphFormat format, bool has_parallel_reader) {
-  const std::string path =
-      ::testing::TempDir() + "/scol_fuzz_" + tag + ".bin";
+  // Per-process name: test_io_fuzz and test_io_fuzz_sweep are the same
+  // binary and may run concurrently.
+  const std::string path = ::testing::TempDir() + "/scol_fuzz_" + tag + "_" +
+                           std::to_string(::getpid()) + ".bin";
   const int iters = fuzz_iters();
   for (int iter = 0; iter < iters; ++iter) {
     Rng rng(Rng::stream(0xf022, static_cast<std::uint64_t>(iter)).below(
