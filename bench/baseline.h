@@ -30,13 +30,13 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "scol/api/json.h"
 #include "scol/util/check.h"
+#include "scol/util/file.h"
 
 namespace scol::bench {
 
@@ -129,13 +129,17 @@ class BaselineWriter {
   }
 
   /// Writes the baseline file (pretty JSON — these are reviewed in PRs).
-  /// Returns false (with a message on stderr) if the file cannot be
-  /// written.
+  /// Returns false if the file cannot be written; a failed write leaves
+  /// no partial file and any previous baseline at `path` untouched.
   bool write(const std::string& path) const {
-    std::ofstream out(path);
-    if (!out) return false;
-    out << to_baseline_json().dump(2) << "\n";
-    return static_cast<bool>(out);
+    try {
+      write_file_atomically(path, [&](std::ostream& out) {
+        out << to_baseline_json().dump(2) << "\n";
+      });
+      return true;
+    } catch (const FileWriteError&) {
+      return false;
+    }
   }
 
  private:

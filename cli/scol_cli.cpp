@@ -57,7 +57,9 @@
 //                      byte-identical to the serial stream for every P
 //   --shard i/m        run shard i of m (instances round-robin)
 //   --out FILE         JSONL to FILE, summary to stdout (default: JSONL to
-//                      stdout, summary to stderr)
+//                      stdout, summary to stderr); FILE appears only once
+//                      complete, and one that cannot be opened or
+//                      written exits 1 and leaves no file behind
 //   --summary-only     no JSONL at all: per-job serialization is skipped
 //                      (the fast path for pure throughput / summary runs);
 //                      summary to stdout. Mutually exclusive with --out
@@ -97,7 +99,6 @@
 // usage errors.
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -109,6 +110,7 @@
 #include "scol/api/oneshot.h"
 #include "scol/io/io.h"
 #include "scol/util/executor.h"
+#include "scol/util/file.h"
 #include "scol/version.h"
 
 namespace {
@@ -536,16 +538,6 @@ int campaign_main(int argc, char** argv) {
     campaign_usage_error("--summary-only and --out are mutually exclusive");
 
   try {
-    std::ofstream out_file;
-    if (!out_path.empty()) {
-      out_file.open(out_path);
-      if (!out_file) campaign_usage_error("cannot open --out '" + out_path +
-                                          "'");
-    }
-    std::ostream& lines = out_path.empty() ? std::cout : out_file;
-    std::ostream& summary =
-        (out_path.empty() && !summary_only) ? std::cerr : std::cout;
-
     // grain=1: the unit of job-level work is one instance, not 256.
     std::unique_ptr<ThreadPoolExecutor> pool;
     if (jobs > 1) {
@@ -555,21 +547,37 @@ int campaign_main(int argc, char** argv) {
 
     // --summary-only passes an empty sink: run_campaign's fast path then
     // skips per-job JSONL serialization entirely.
-    CampaignSink sink;
-    if (!summary_only)
-      sink = [&](const std::string& line) { lines << line << "\n"; };
-    const CampaignResult result = run_campaign(spec, options, sink);
-    lines.flush();
-    if (!lines) {
-      // Runtime failure (disk full, closed pipe), not a usage error: the
-      // JSONL stream is truncated, so don't pretend the run succeeded.
-      std::cerr << "scol-cli campaign: write to "
-                << (out_path.empty() ? "stdout" : "--out '" + out_path + "'")
-                << " failed; JSONL stream is incomplete\n";
-      return 1;
+    const auto run = [&](std::ostream& lines) {
+      CampaignSink sink;
+      if (!summary_only)
+        sink = [&](const std::string& line) { lines << line << "\n"; };
+      return run_campaign(spec, options, sink);
+    };
+    CampaignResult result;
+    if (out_path.empty()) {
+      result = run(std::cout);
+      std::cout.flush();
+      if (!std::cout) {
+        // Runtime failure (closed pipe), not a usage error: the JSONL
+        // stream is truncated, so don't pretend the run succeeded.
+        std::cerr << "scol-cli campaign: write to stdout failed; JSONL "
+                     "stream is incomplete\n";
+        return 1;
+      }
+    } else {
+      // The JSONL appears at --out only once it is complete.
+      write_file_atomically(out_path,
+                            [&](std::ostream& lines) { result = run(lines); });
     }
+    std::ostream& summary =
+        (out_path.empty() && !summary_only) ? std::cerr : std::cout;
     summary << result.summary.dump(pretty ? 2 : -1) << "\n";
     return result.oracle_violations > 0 ? 1 : 0;
+  } catch (const FileWriteError& e) {
+    // --out cannot be opened, written or moved into place: a runtime
+    // failure, and no file (nor its temp sibling) is left behind.
+    std::cerr << "scol-cli campaign: " << e.what() << "\n";
+    return 1;
   } catch (const std::exception& e) {
     std::cerr << "scol-cli campaign: " << e.what() << "\n";
     return 2;

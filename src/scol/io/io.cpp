@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +15,7 @@
 
 #include "scol/io/reader_detail.h"
 #include "scol/util/check.h"
+#include "scol/util/file.h"
 #include "scol/util/thread_pool.h"
 
 namespace scol {
@@ -23,6 +23,7 @@ namespace {
 
 using io_detail::EdgeAccumulator;
 using io_detail::LineCursor;
+using io_detail::MetisChunk;
 using io_detail::Token;
 using io_detail::fail_at;
 using io_detail::str;
@@ -187,12 +188,6 @@ ReadResult read_dimacs(std::string& text, const std::string& name) {
 
 // --- METIS / Chaco adjacency ---------------------------------------------
 
-struct MetisChunk {
-  EdgeAccumulator acc;
-  std::int64_t entries = 0;
-  std::int64_t comments = 0;
-};
-
 ReadResult read_metis(std::string& text, const std::string& name,
                       int threads) {
   ReadResult out;
@@ -210,7 +205,7 @@ ReadResult read_metis(std::string& text, const std::string& name,
   std::vector<MetisChunk> parts = parse_chunks<MetisChunk>(
       head.rest(), name, head.lineno + 1, threads, end,
       [&](LineCursor& r, MetisChunk& part, BodyPos start) {
-        part.acc.n = h.n;
+        part.range.n = h.n;
         std::int64_t vertex = start.data;
         while (r.next()) {
           if (!r.line.empty() && r.line[0] == '%') {
@@ -225,8 +220,7 @@ ReadResult read_metis(std::string& text, const std::string& name,
               r.fail(1, "data after the last of the " + std::to_string(h.n) +
                             " declared adjacency lines");
           } else {
-            part.entries += io_detail::parse_metis_line(
-                r, toks, h, static_cast<Vertex>(vertex), part.acc);
+            io_detail::parse_metis_line(r, toks, h, part);
           }
           ++vertex;
         }
@@ -236,11 +230,14 @@ ReadResult read_metis(std::string& text, const std::string& name,
     fail_at(name, end.line, 1,
             "file ends after " + std::to_string(end.data) + " of the " +
                 std::to_string(h.n) + " declared adjacency lines");
+  // Chunks cover increasing lines, so folding their id ranges in order
+  // keeps the first line that saw id 0 (or id n).
+  io_detail::IdRange range;
+  range.n = h.n;
   std::int64_t entries = 0;
-  std::size_t total_pairs = 0;
   for (const MetisChunk& p : parts) {
-    entries += p.entries;
-    total_pairs += p.acc.edges.size();
+    range.merge(p.range);
+    entries += static_cast<std::int64_t>(p.ids.size());
     out.stats.comment_lines += p.comments;
   }
   if (entries != 2 * h.declared_m)
@@ -249,23 +246,11 @@ ReadResult read_metis(std::string& text, const std::string& name,
                 std::to_string(2 * h.declared_m) +
                 " adjacency entries; each edge appears twice) but the "
                 "lists contain " + std::to_string(entries) + " entries");
-
-  // Concatenate in chunk order. Chunks cover increasing lines, so the
-  // first chunk that saw id 0 (or id n) holds its first line.
-  EdgeAccumulator acc = std::move(parts[0].acc);
-  acc.edges.reserve(total_pairs);
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    EdgeAccumulator& p = parts[i].acc;
-    acc.edges.insert(acc.edges.end(), p.edges.begin(), p.edges.end());
-    std::vector<Edge>().swap(p.edges);
-    if (acc.first_zero_line == 0) acc.first_zero_line = p.first_zero_line;
-    if (acc.first_n_line == 0) acc.first_n_line = p.first_n_line;
-  }
   out.stats.declared_n = h.n;
   out.stats.declared_m = h.declared_m;
   out.stats.edge_records = entries;
   release(text);
-  out.graph = io_detail::finish_metis(name, acc, out.stats);
+  out.graph = io_detail::finish_metis(name, range, parts, out.stats);
   return out;
 }
 
@@ -602,26 +587,11 @@ void write_graph_file(const std::string& path, const Graph& g,
                  + (path + ": cannot infer a write format from the "
                     "extension; pass one explicitly"));
   }
-  // Refuse before any file exists, then write a temp sibling and rename
-  // it into place, so a failure never leaves a partial file at `path`.
+  // Refuse before any file exists; the write itself never leaves a
+  // partial file at `path`.
   require_representable(g, format);
-  const std::string tmp = path + ".tmp";
-  try {
-    std::ofstream out(tmp, std::ios::binary);
-    if (!out)
-      throw PreconditionError(path + ": cannot open file for writing");
-    write_graph(out, g, format);
-    out.close();
-    if (!out) throw PreconditionError(path + ": write failed");
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec)
-      throw PreconditionError(path + ": cannot move the written file into "
-                              "place: " + ec.message());
-  } catch (...) {
-    std::remove(tmp.c_str());
-    throw;
-  }
+  write_file_atomically(
+      path, [&](std::ostream& out) { write_graph(out, g, format); });
 }
 
 }  // namespace scol

@@ -188,7 +188,7 @@ inline std::int64_t parse_edge_count(const LineCursor& r, const Token& tok) {
   return v;
 }
 
-// --- Shared edge accumulation. -------------------------------------------
+// --- Shared index resolution and edge accumulation. ----------------------
 //
 // Formats with a declared vertex count (DIMACS, METIS, Matrix Market)
 // collect raw ids first and resolve 0- vs 1-based indexing once the whole
@@ -196,29 +196,18 @@ inline std::int64_t parse_edge_count(const LineCursor& r, const Token& tok) {
 // id n. Using both is unresolvable and is reported with the lines where
 // each extreme first appeared. Self-loops and duplicate edges are
 // dropped and counted, never errors — real benchmark files contain both.
-//
-// The METIS driver runs one accumulator per chunk and concatenates the
-// edge vectors in chunk order; cursor line numbers are global, so the
-// first chunk that recorded first_zero/first_n holds the earliest line.
-// That yields the one-chunk accumulator state exactly.
-struct EdgeAccumulator {
+
+// Range-checks raw ids against [lo, n] and records the first line of each
+// extreme. The METIS driver keeps one per chunk and folds them in chunk
+// order; cursor line numbers are global, so the first chunk that recorded
+// an extreme holds its earliest line — the one-chunk state exactly.
+struct IdRange {
   std::int64_t n = 0;
-  std::vector<Edge> edges;          // raw, pre-index-resolution
-  std::int64_t self_loops = 0;
   std::size_t first_zero_line = 0;  // line where id 0 first appeared
   std::size_t first_n_line = 0;     // line where id n first appeared
 
   // `lo` is the smallest id this format ever allows (0 for the
   // auto-detecting formats, 1 for Matrix Market which is firmly 1-based).
-  void add(const LineCursor& r, const Token& ut, const Token& vt,
-           std::int64_t lo) {
-    const std::int64_t u = parse_int64(r, ut, "vertex id");
-    const std::int64_t v = parse_int64(r, vt, "vertex id");
-    check_range(r, u, ut, lo);
-    check_range(r, v, vt, lo);
-    edges.emplace_back(static_cast<Vertex>(u), static_cast<Vertex>(v));
-  }
-
   void check_range(const LineCursor& r, std::int64_t id, const Token& tok,
                    std::int64_t lo) {
     if (id < lo || id > n)
@@ -229,18 +218,43 @@ struct EdgeAccumulator {
     if (id == n && first_n_line == 0) first_n_line = r.lineno;
   }
 
-  // Decides indexing, shifts, dedups, builds. Fills stats.
-  Graph finish(const std::string& name, ReadStats& stats) {
-    bool zero_based = first_zero_line != 0;
-    if (zero_based && first_n_line != 0)
+  // Folds in the record of a chunk that covers later lines.
+  void merge(const IdRange& later) {
+    if (first_zero_line == 0) first_zero_line = later.first_zero_line;
+    if (first_n_line == 0) first_n_line = later.first_n_line;
+  }
+
+  // True for a 0-based file; throws when it uses both extremes. `kind`
+  // names the ids in the message ("vertex" or "neighbor").
+  bool zero_based(const std::string& name, const char* kind) const {
+    if (first_zero_line != 0 && first_n_line != 0)
       fail_at(name, first_n_line, 1,
-              "file mixes 0-based and 1-based vertex ids (id 0 first seen "
-              "on line " +
+              std::string("file mixes 0-based and 1-based ") + kind +
+                  " ids (id 0 first seen on line " +
                   std::to_string(first_zero_line) + ", id " +
                   std::to_string(n) + " on line " +
                   std::to_string(first_n_line) + ")");
-    stats.zero_indexed = zero_based;
-    const Vertex shift = zero_based ? 0 : 1;
+    return first_zero_line != 0;
+  }
+};
+
+struct EdgeAccumulator : IdRange {
+  std::vector<Edge> edges;          // raw, pre-index-resolution
+  std::int64_t self_loops = 0;
+
+  void add(const LineCursor& r, const Token& ut, const Token& vt,
+           std::int64_t lo) {
+    const std::int64_t u = parse_int64(r, ut, "vertex id");
+    const std::int64_t v = parse_int64(r, vt, "vertex id");
+    check_range(r, u, ut, lo);
+    check_range(r, v, vt, lo);
+    edges.emplace_back(static_cast<Vertex>(u), static_cast<Vertex>(v));
+  }
+
+  // Decides indexing, shifts, dedups, builds. Fills stats.
+  Graph finish(const std::string& name, ReadStats& stats) {
+    stats.zero_indexed = zero_based(name, "vertex");
+    const Vertex shift = stats.zero_indexed ? 0 : 1;
     // Shift straight into the builder (add_edge normalizes orientation);
     // it merges duplicates during its counting-sort CSR fill, so the
     // merged count is the duplicate tally — no intermediate edge vector,
@@ -305,14 +319,23 @@ inline MetisHeader parse_metis_header_tokens(
   return h;
 }
 
-// Parses one adjacency line for `vertex` (0-based line index): skips the
-// declared weight tokens, range-checks every neighbor id, and records
-// (vertex, raw neighbor) pairs in `acc`. Returns the number of adjacency
-// entries consumed.
-inline std::int64_t parse_metis_line(const LineCursor& r,
-                                     const std::vector<Token>& toks,
-                                     const MetisHeader& h, Vertex vertex,
-                                     EdgeAccumulator& acc) {
+// What one chunk of METIS adjacency lines parsed to. The source vertex of
+// an entry is its line index, so a chunk stores only the raw neighbor ids
+// of its adjacency lines back to back plus one entry count per line; the
+// chunks in file order hold every line of the file, one per vertex.
+struct MetisChunk {
+  IdRange range;
+  std::vector<Vertex> ids;            // raw neighbor ids, line after line
+  std::vector<std::int64_t> lengths;  // entries per adjacency line
+  std::int64_t comments = 0;
+};
+
+// Parses one adjacency line into `chunk`: skips the declared weight
+// tokens, range-checks every neighbor id and appends the raw ids and the
+// line's entry count.
+inline void parse_metis_line(const LineCursor& r,
+                             const std::vector<Token>& toks,
+                             const MetisHeader& h, MetisChunk& chunk) {
   std::size_t i = 0;
   if (h.vertex_sizes) ++i;                         // skip the size token
   i += static_cast<std::size_t>(h.ncon);           // skip vertex weights
@@ -325,73 +348,133 @@ inline std::int64_t parse_metis_line(const LineCursor& r,
   if (h.edge_weights && (toks.size() - i) % 2 != 0)
     r.fail(toks.back().col, "fmt declares edge weights but a neighbor id "
                             "has no weight token after it");
-  std::int64_t entries = 0;
-  // The other endpoint is the line index, so indexing resolution must
-  // treat both the same way. METIS ids are canonically 1-based; we defer
-  // like DIMACS and shift the neighbor ids in finish_metis.
+  // METIS ids are canonically 1-based; like DIMACS we defer the decision
+  // to the whole file and shift the neighbor ids in finish_metis.
+  const std::size_t before = chunk.ids.size();
   for (; i < toks.size(); i += step) {
     const std::int64_t w = parse_int64(r, toks[i], "neighbor id");
-    acc.check_range(r, w, toks[i], 0);
-    acc.edges.emplace_back(vertex, static_cast<Vertex>(w));
-    ++entries;
+    chunk.range.check_range(r, w, toks[i], 0);
+    chunk.ids.push_back(static_cast<Vertex>(w));
   }
-  return entries;
+  chunk.lengths.push_back(
+      static_cast<std::int64_t>(chunk.ids.size() - before));
 }
 
-// METIS tail: resolves neighbor-id indexing, drops and counts self-loops,
-// then sorts the directed entries to count duplicates and asymmetric
-// (unmirrored) listings. `acc.edges` holds (0-based line vertex, raw
-// neighbor) pairs in file order.
-inline Graph finish_metis(const std::string& name, EdgeAccumulator& acc,
+// Calls fn(u, begin, end) for every adjacency row of `chunks` in vertex
+// order.
+template <class Fn>
+void for_each_row(const std::vector<MetisChunk>& chunks, const Fn& fn) {
+  Vertex u = 0;
+  for (const MetisChunk& c : chunks) {
+    const Vertex* row = c.ids.data();
+    for (const std::int64_t len : c.lengths) {
+      fn(u++, row, row + len);
+      row += len;
+    }
+  }
+}
+
+// METIS tail: one linear, serial pass over the adjacency rows (the n
+// lines the chunks hold, in file order) instead of a global sort.
+//  - Rows: shift the neighbor ids to 0-based, drop and count self-loops,
+//    sort and dedup each row in place; the removed copies are the
+//    duplicate listings.
+//  - Transpose: one counting pass lists, for every vertex v, the rows
+//    that name v; each such list is sorted because rows are visited in
+//    vertex order.
+//  - Merge: an undirected edge must be listed once from EACH endpoint. A
+//    row entry missing from the vertex's transpose list is an asymmetric
+//    (unmirrored) listing — tolerated and counted, and the union of row
+//    and transpose list is the vertex's sorted, duplicate-free adjacency.
+// `range` is the chunks' folded IdRange; indexing is resolved (and the
+// mixed-ids error raised) before anything is allocated.
+inline Graph finish_metis(const std::string& name, const IdRange& range,
+                          std::vector<MetisChunk>& chunks,
                           ReadStats& stats) {
-  // Resolve indexing on the neighbor ids only (the first element of each
-  // stored pair is the 0-based line index): 1-based unless some neighbor
-  // is 0.
-  const bool zero_based = acc.first_zero_line != 0;
-  if (zero_based && acc.first_n_line != 0)
-    fail_at(name, acc.first_n_line, 1,
-            "file mixes 0-based and 1-based neighbor ids (id 0 first seen "
-            "on line " + std::to_string(acc.first_zero_line) + ", id " +
-                std::to_string(acc.n) + " on line " +
-                std::to_string(acc.first_n_line) + ")");
-  stats.zero_indexed = zero_based;
-  const Vertex shift = zero_based ? 0 : 1;
-  std::vector<Edge> directed;
-  directed.reserve(acc.edges.size());
+  stats.zero_indexed = range.zero_based(name, "neighbor");
+  const Vertex shift = stats.zero_indexed ? 0 : 1;
+  const auto n = static_cast<std::size_t>(range.n);
+
+  // Rows, in place; `lengths` become the deduplicated row lengths.
   std::int64_t self_loops = 0;
-  for (const auto& [u, w] : acc.edges) {
-    const Vertex v = static_cast<Vertex>(w - shift);
-    if (u == v) {
-      ++self_loops;
-      continue;
+  Vertex u = 0;
+  for (MetisChunk& c : chunks) {
+    Vertex* const ids = c.ids.data();
+    std::size_t read = 0;
+    std::size_t write = 0;
+    for (std::int64_t& len : c.lengths) {
+      const std::size_t begin = write;
+      for (const std::size_t end = read + static_cast<std::size_t>(len);
+           read < end; ++read) {
+        const Vertex v = static_cast<Vertex>(ids[read] - shift);
+        if (v == u)
+          ++self_loops;
+        else
+          ids[write++] = v;
+      }
+      std::sort(ids + begin, ids + write);
+      const std::size_t kept =
+          static_cast<std::size_t>(std::unique(ids + begin, ids + write) -
+                                   ids);
+      stats.duplicate_edges += static_cast<std::int64_t>(write - kept);
+      write = kept;
+      len = static_cast<std::int64_t>(write - begin);
+      ++u;
     }
-    directed.emplace_back(u, v);
+    c.ids.resize(write);
   }
-  std::sort(directed.begin(), directed.end());
-  // An undirected edge must be listed once from EACH endpoint. Extra
-  // same-direction listings are duplicates; a missing mirror listing is
-  // an asymmetry — both tolerated, both counted (never silent).
-  std::vector<Edge> clean;
-  for (std::size_t i = 0; i < directed.size();) {
-    std::size_t j = i;
-    while (j < directed.size() && directed[j] == directed[i]) ++j;
-    stats.duplicate_edges += static_cast<std::int64_t>(j - i) - 1;
-    const auto [u, v] = directed[i];
-    const bool mirrored =
-        std::binary_search(directed.begin(), directed.end(), Edge{v, u});
-    if (u < v) {
-      clean.emplace_back(u, v);
-      if (!mirrored) ++stats.asymmetric_edges;
-    } else if (!mirrored) {
-      clean.emplace_back(v, u);
-      ++stats.asymmetric_edges;
-    }
-    i = j;
-  }
-  // `clean` is duplicate-free by construction (one entry per undirected
-  // edge) and from_edges no longer needs sorted input.
   stats.self_loops = self_loops;
-  return Graph::from_edges(static_cast<Vertex>(acc.n), clean);
+
+  // Transpose: count, prefix-sum, scatter. After the scatter toff[v] is
+  // the end of v's list, so shifting right by one gives the offsets.
+  std::vector<std::int64_t> toff(n + 1, 0);
+  for_each_row(chunks, [&](Vertex, const Vertex* b, const Vertex* e) {
+    for (; b != e; ++b) ++toff[static_cast<std::size_t>(*b) + 1];
+  });
+  for (std::size_t v = 0; v < n; ++v) toff[v + 1] += toff[v];
+  std::vector<Vertex> tadj(static_cast<std::size_t>(toff[n]));
+  for_each_row(chunks, [&](Vertex w, const Vertex* b, const Vertex* e) {
+    for (; b != e; ++b)
+      tadj[static_cast<std::size_t>(toff[static_cast<std::size_t>(*b)]++)] =
+          w;
+  });
+  std::copy_backward(toff.begin(), toff.end() - 1, toff.end());
+  toff[0] = 0;
+  const auto trow = [&](Vertex v) {
+    return std::make_pair(tadj.data() + toff[static_cast<std::size_t>(v)],
+                          tadj.data() + toff[static_cast<std::size_t>(v) + 1]);
+  };
+
+  // Merge: a counting pass sizes each union (transpose list plus the
+  // row entries it lacks), then std::set_union writes the unions straight
+  // into the final CSR.
+  std::vector<std::int64_t> offsets(n + 1, 0);
+  for_each_row(chunks, [&](Vertex v, const Vertex* b, const Vertex* e) {
+    const auto [tb, te] = trow(v);
+    std::int64_t only_row = 0;
+    for (const Vertex* t = tb; b != e;) {
+      if (t == te || *b < *t) {
+        ++only_row;
+        ++b;
+      } else if (*t < *b) {
+        ++t;
+      } else {
+        ++b;
+        ++t;
+      }
+    }
+    stats.asymmetric_edges += only_row;
+    offsets[static_cast<std::size_t>(v) + 1] = (te - tb) + only_row;
+  });
+  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  std::vector<Vertex> adj(static_cast<std::size_t>(offsets[n]));
+  for_each_row(chunks, [&](Vertex v, const Vertex* b, const Vertex* e) {
+    const auto [tb, te] = trow(v);
+    std::set_union(b, e, tb, te,
+                   adj.data() + offsets[static_cast<std::size_t>(v)]);
+  });
+  return Graph::from_csr(static_cast<Vertex>(n), std::move(offsets),
+                         std::move(adj));
 }
 
 // --- Edge-list line core and tail. ---------------------------------------

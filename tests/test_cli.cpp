@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -219,6 +220,44 @@ TEST(Cli, GenRefusesUnrepresentableGraphWithoutPartialFile) {
   EXPECT_NE(r.output.find("isolated vertex"), std::string::npos) << r.output;
   EXPECT_FALSE(exists(out));
   EXPECT_FALSE(exists(out + ".tmp"));
+}
+
+TEST(Cli, CampaignOutFailureExitsOneWithoutPartialFile) {
+  const std::string bin = binary("scol-cli");
+  SKIP_WITHOUT(bin);
+  const std::string dir = ::testing::TempDir() + "/scol_cli_campaign_out";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/taken");
+  const std::string campaign =
+      bin + " campaign --gen petersen --algo greedy --seeds 1 --out ";
+  // Cannot be opened: the directory does not exist.
+  const std::string missing = dir + "/no_such_dir/runs.jsonl";
+  // Cannot be written: the temp sibling is a link to a full device.
+  const std::string full = dir + "/full.jsonl";
+  const bool have_full = exists("/dev/full");
+  if (have_full) std::filesystem::create_symlink("/dev/full", full + ".tmp");
+  // Cannot be moved into place: a directory holds the name.
+  const std::string taken = dir + "/taken";
+  for (const std::string& out : {missing, full, taken}) {
+    if (out == full && !have_full) continue;
+    const RunResult r = run(campaign + out);
+    EXPECT_EQ(r.exit_code, 1) << out << "\n" << r.output;
+    EXPECT_NE(r.output.find(out + ": "), std::string::npos) << r.output;
+    EXPECT_FALSE(std::filesystem::is_regular_file(out)) << out;
+    EXPECT_FALSE(std::filesystem::exists(
+        std::filesystem::symlink_status(out + ".tmp")))
+        << out;
+  }
+  EXPECT_TRUE(std::filesystem::is_directory(taken));
+  // A writable --out still gets the whole stream and no temp file.
+  const std::string ok = dir + "/runs.jsonl";
+  const RunResult r = run(campaign + ok);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  std::ifstream in(ok);
+  std::string line;
+  EXPECT_TRUE(std::getline(in, line) && line.rfind("{", 0) == 0) << line;
+  EXPECT_FALSE(exists(ok + ".tmp"));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Cli, ServePipeModeRoundTrips) {

@@ -5,11 +5,15 @@
 // Every reader failure must carry a "name:line:column" position — the
 // contract cataloged in docs/FORMATS.md — so each adversarial case
 // asserts both the reason and the position of its error message.
+#include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "scol/api/registry.h"
 #include "scol/api/scenario.h"
@@ -20,6 +24,7 @@
 #include "scol/gen/special.h"
 #include "scol/io/io.h"
 #include "scol/io/probe.h"
+#include "scol/util/rng.h"
 
 namespace scol {
 namespace {
@@ -286,6 +291,133 @@ TEST(IoMetis, BadFmtCodeAndBadHeader) {
   msg = error_of([] { parse("\n\n", GraphFormat::kMetis, "g.graph"); });
   EXPECT_CONTAINS(msg, "g.graph:3:1");
   EXPECT_CONTAINS(msg, "ends before the");
+}
+
+// --- METIS against a reference ---------------------------------------------
+//
+// Seeded random METIS texts with every tolerated fault — duplicate
+// listings, one-sided listings, self-loops, blank (isolated) lines, '%'
+// comments, 0- and 1-based ids — read at several chunk counts and
+// compared with a reference that applies the documented definitions
+// (docs/FORMATS.md) to the multiset of directed listings (line vertex,
+// neighbor). The reader's own differentials compare it only with itself.
+
+struct MetisCase {
+  std::string text;
+  Vertex n = 0;
+  std::vector<Edge> edges;  // sorted, u < v
+  ReadStats stats;
+};
+
+MetisCase random_metis_case(std::uint64_t seed) {
+  Rng rng(seed);
+  const Vertex n = static_cast<Vertex>(rng.uniform(1, 50));
+  const bool one_based = rng.chance(0.5);
+  const auto vertex = [&] { return static_cast<Vertex>(rng.below(
+                                static_cast<std::uint64_t>(n))); };
+  // A symmetric base graph (repeats included), then the faults.
+  std::vector<std::vector<Vertex>> rows(static_cast<std::size_t>(n));
+  for (std::int64_t e = rng.uniform(0, 3 * n); e > 0; --e) {
+    const Vertex u = vertex();
+    const Vertex v = vertex();
+    if (u == v) continue;
+    rows[static_cast<std::size_t>(u)].push_back(v);
+    rows[static_cast<std::size_t>(v)].push_back(u);
+  }
+  std::int64_t total = 0;
+  for (auto& row : rows) {
+    const Vertex u = static_cast<Vertex>(&row - rows.data());
+    if (!row.empty() && rng.chance(0.2)) row.push_back(row.front());  // dup
+    if (rng.chance(0.15)) row.push_back(vertex());  // one-sided (or loop)
+    if (rng.chance(0.1)) row.push_back(u);          // self-loop
+    rng.shuffle(row);
+    total += static_cast<std::int64_t>(row.size());
+  }
+  if (total % 2 != 0) {  // the header needs 2m entries
+    rows[0].push_back(0);
+    ++total;
+  }
+
+  MetisCase c;
+  c.n = n;
+  const auto comment = [&] {
+    c.text += "% note\n";
+    ++c.stats.comment_lines;
+  };
+  if (rng.chance(0.5)) comment();
+  c.text += std::to_string(n) + " " + std::to_string(total / 2) + "\n";
+  for (const auto& row : rows) {
+    if (rng.chance(0.1)) comment();
+    for (const Vertex v : row) {
+      c.text += std::to_string(v + one_based);
+      c.text += ' ';
+    }
+    c.text += "\n";
+  }
+  if (rng.chance(0.5)) c.text += "\n";
+  if (rng.chance(0.5)) comment();
+
+  // The reference. Indexing: 0-based iff some neighbor id is 0.
+  bool zero = false;
+  for (const auto& row : rows)
+    for (const Vertex v : row) zero = zero || v + one_based == 0;
+  const Vertex shift = zero ? 0 : 1;
+  std::map<Edge, std::int64_t> listings;  // directed, loops excluded
+  for (Vertex u = 0; u < n; ++u)
+    for (const Vertex raw : rows[static_cast<std::size_t>(u)]) {
+      const Vertex v = raw + one_based - shift;
+      if (u == v)
+        ++c.stats.self_loops;
+      else
+        ++listings[{u, v}];
+    }
+  std::set<Edge> edges;
+  for (const auto& [uv, count] : listings) {
+    c.stats.duplicate_edges += count - 1;
+    if (listings.count({uv.second, uv.first}) == 0)
+      ++c.stats.asymmetric_edges;
+    edges.insert({std::min(uv.first, uv.second),
+                  std::max(uv.first, uv.second)});
+  }
+  c.edges.assign(edges.begin(), edges.end());
+  c.stats.format = GraphFormat::kMetis;
+  c.stats.declared_n = n;
+  c.stats.declared_m = total / 2;
+  c.stats.edge_records = total;
+  c.stats.zero_indexed = zero;
+  return c;
+}
+
+TEST(IoMetis, RandomFilesMatchTheReferenceAtEveryChunkCount) {
+  const std::string path = ::testing::TempDir() + "/scol_metis_ref_" +
+                           std::to_string(::getpid()) + ".graph";
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const MetisCase c = random_metis_case(seed);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << c.text;
+    }
+    for (const int threads : {1, 2, 3, 8}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                   std::to_string(threads) + "\n" + c.text);
+      ReadOptions options;
+      options.threads = threads;
+      const ReadResult r =
+          read_graph_file(path, GraphFormat::kMetis, options);
+      EXPECT_EQ(r.graph.num_vertices(), c.n);
+      EXPECT_EQ(r.graph.edges(), c.edges);
+      EXPECT_EQ(r.stats.format, c.stats.format);
+      EXPECT_EQ(r.stats.declared_n, c.stats.declared_n);
+      EXPECT_EQ(r.stats.declared_m, c.stats.declared_m);
+      EXPECT_EQ(r.stats.edge_records, c.stats.edge_records);
+      EXPECT_EQ(r.stats.duplicate_edges, c.stats.duplicate_edges);
+      EXPECT_EQ(r.stats.self_loops, c.stats.self_loops);
+      EXPECT_EQ(r.stats.asymmetric_edges, c.stats.asymmetric_edges);
+      EXPECT_EQ(r.stats.comment_lines, c.stats.comment_lines);
+      EXPECT_EQ(r.stats.zero_indexed, c.stats.zero_indexed);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // --- Matrix Market --------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,27 @@ std::string seed_metis() {
     const int prev = v == 1 ? 12 : v - 1;
     const int next = v == 12 ? 1 : v + 1;
     text += std::to_string(prev) + " " + std::to_string(next) + "\n";
+  }
+  return text;
+}
+
+std::string seed_metis_faults() {
+  // The same cycle with every tolerated fault: vertex 3 lists 2 twice (a
+  // duplicate listing), vertex 1 lists 7 but 7 does not list 1 (a
+  // one-sided listing), and vertices 5 and 9 list themselves. An entry
+  // total of 2m is always 2·(mirrored pairs) + one-sided + duplicates +
+  // self-loops, so one loop alone would make it odd; the second keeps
+  // the header at m = 14 and the file valid.
+  std::string text = "% fuzz seed with faults\n12 14\n";
+  for (int v = 1; v <= 12; ++v) {
+    const int prev = v == 1 ? 12 : v - 1;
+    const int next = v == 12 ? 1 : v + 1;
+    text += std::to_string(prev) + " " + std::to_string(next);
+    if (v == 1) text += " 7";
+    if (v == 3) text += " 2";
+    if (v == 5) text += " 5";
+    if (v == 9) text += " 9";
+    text += "\n";
   }
   return text;
 }
@@ -233,6 +255,19 @@ TEST(IoFuzz, EdgeListMutationsNeverCrashAndReadersAgree) {
 
 TEST(IoFuzz, MetisMutationsNeverCrashAndReadersAgree) {
   run_fuzz("metis", seed_metis(), GraphFormat::kMetis,
+           /*has_parallel_reader=*/true);
+}
+
+TEST(IoFuzz, FaultyMetisMutationsNeverCrashAndReadersAgree) {
+  // The unmutated seed must reach the duplicate, asymmetry and self-loop
+  // paths, or its mutations would not either.
+  std::istringstream in(seed_metis_faults());
+  const ReadResult seed = read_graph(in, GraphFormat::kMetis, "seed");
+  EXPECT_EQ(seed.graph.num_edges(), 13);
+  EXPECT_EQ(seed.stats.duplicate_edges, 1);
+  EXPECT_EQ(seed.stats.asymmetric_edges, 1);
+  EXPECT_EQ(seed.stats.self_loops, 2);
+  run_fuzz("metis_faults", seed_metis_faults(), GraphFormat::kMetis,
            /*has_parallel_reader=*/true);
 }
 
