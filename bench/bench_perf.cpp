@@ -34,9 +34,10 @@ Graph make_regular(Vertex n, Vertex d) {
 
 void BM_BfsBall(benchmark::State& state) {
   const Graph g = make_regular(static_cast<Vertex>(state.range(0)), 4);
+  BfsScratch scratch(g.num_vertices());
   Vertex v = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ball(g, v, 6));
+    benchmark::DoNotOptimize(ball(g, v, 6, scratch));
     v = (v + 17) % g.num_vertices();
   }
 }

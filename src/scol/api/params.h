@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <variant>
@@ -57,6 +58,17 @@ class ParamBag {
     SCOL_REQUIRE(std::holds_alternative<std::int64_t>(*v),
                  + ("param '" + name + "' is not an integer"));
     return std::get<std::int64_t>(*v);
+  }
+  /// get_int narrowed to Int: a value Int cannot hold is refused with a
+  /// PreconditionError naming the param, never truncated.
+  template <typename Int>
+  Int get_int_as(const std::string& name, Int def) const {
+    const std::int64_t v = get_int(name, def);
+    SCOL_REQUIRE(v >= std::numeric_limits<Int>::min() &&
+                     v <= std::numeric_limits<Int>::max(),
+                 + ("param '" + name + "' = " + std::to_string(v) +
+                    " is out of range"));
+    return static_cast<Int>(v);
   }
   double get_real(const std::string& name, double def) const {
     const Value* v = find(name);

@@ -27,10 +27,8 @@ namespace {
 SparseOptions sparse_options(const ColoringRequest& req, RunContext& ctx) {
   SparseOptions opts;
   opts.ball_constant = req.params.get_real("ball_constant", opts.ball_constant);
-  opts.radius_override =
-      static_cast<Vertex>(req.params.get_int("radius", opts.radius_override));
-  opts.max_peels =
-      static_cast<Vertex>(req.params.get_int("max_peels", opts.max_peels));
+  opts.radius_override = req.params.get_int_as("radius", opts.radius_override);
+  opts.max_peels = req.params.get_int_as("max_peels", opts.max_peels);
   opts.executor = ctx.executor;
   opts.arena = &ctx.arena_ref();
   return opts;

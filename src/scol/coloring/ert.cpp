@@ -310,6 +310,7 @@ Coloring degree_choosable_coloring(const Graph& g, const AvailableLists& avail,
     return bdist[static_cast<std::size_t>(x)] > bdist[static_cast<std::size_t>(y)];
   });
 
+  BfsScratch scratch(n);  // relabels each block's induce in O(block)
   for (Vertex bi : block_order) {
     if (bi == target_block) continue;
     const Block& blk = dec.blocks[static_cast<std::size_t>(bi)];
@@ -331,9 +332,8 @@ Coloring degree_choosable_coloring(const Graph& g, const AvailableLists& avail,
     SCOL_CHECK(anchor >= 0, + "non-target block must have an anchor");
 
     // Color blk - anchor greedily toward the anchor, within the block.
-    const InducedSubgraph sub = induce(g, blk.vertices);
-    const auto dist_sub =
-        bfs_distances(sub.graph, sub.to_induced[static_cast<std::size_t>(anchor)]);
+    const InducedSubgraph sub = induce(g, blk.vertices, scratch);
+    const auto dist_sub = bfs_distances(sub.graph, sub.induced_id(anchor));
     std::vector<Vertex> dist(static_cast<std::size_t>(n), -1);
     for (Vertex x = 0; x < sub.graph.num_vertices(); ++x)
       dist[static_cast<std::size_t>(sub.to_original[static_cast<std::size_t>(x)])] =
@@ -347,7 +347,7 @@ Coloring degree_choosable_coloring(const Graph& g, const AvailableLists& avail,
 
   // Finally color B* as a 2-connected graph with the shrunken lists.
   const Block& bstar = dec.blocks[static_cast<std::size_t>(target_block)];
-  const InducedSubgraph sub = induce(g, bstar.vertices);
+  const InducedSubgraph sub = induce(g, bstar.vertices, scratch);
   AvailableLists sub_av(static_cast<std::size_t>(sub.graph.num_vertices()));
   for (Vertex x = 0; x < sub.graph.num_vertices(); ++x)
     sub_av[static_cast<std::size_t>(x)] =

@@ -11,13 +11,14 @@ namespace scol {
 namespace {
 
 // Multi-source BFS marking happy[x] for all x within `limit` of `sources`
-// (in graph gr).
+// (in graph gr). Distances live in scratch.mark and are reset for every
+// reached vertex, so a call costs what it reaches.
 void mark_within(const Graph& gr, const std::vector<Vertex>& sources,
-                 Vertex limit, std::vector<char>& happy) {
+                 Vertex limit, std::vector<char>& happy, BfsScratch& scratch) {
   if (sources.empty() || limit < 0) return;
-  std::vector<Vertex> dist(static_cast<std::size_t>(gr.num_vertices()), -1);
-  std::vector<Vertex> queue;  // flat FIFO (head index), no deque chunking
-  queue.reserve(sources.size());
+  std::vector<Vertex>& dist = scratch.mark;
+  std::vector<Vertex>& queue = scratch.queue;
+  queue.clear();
   for (Vertex s : sources) {
     if (dist[static_cast<std::size_t>(s)] != 0) {
       dist[static_cast<std::size_t>(s)] = 0;
@@ -36,15 +37,17 @@ void mark_within(const Graph& gr, const std::vector<Vertex>& sources,
       }
     }
   }
+  for (Vertex x : queue) dist[static_cast<std::size_t>(x)] = -1;
 }
 
-// Is the ball of radius r around v (in gr, restricted to `comp_mask`)
-// non-Gallai? (The ball is connected, so Gallai-forest == Gallai-tree.)
-bool ball_non_gallai(const Graph& gr, const std::vector<char>& comp_mask,
-                     Vertex v, Vertex r) {
-  const std::vector<Vertex> b = ball_within(gr, comp_mask, v, r);
+// Is the ball of radius r around v in gr non-Gallai? (The ball is
+// connected, so Gallai-forest == Gallai-tree; it never leaves v's
+// component, so no component mask is needed.)
+bool ball_non_gallai(const Graph& gr, Vertex v, Vertex r,
+                     BfsScratch& scratch) {
+  const std::vector<Vertex> b = ball(gr, v, r, scratch);
   if (static_cast<Vertex>(b.size()) <= 2) return false;
-  const InducedSubgraph sub = induce(gr, b);
+  const InducedSubgraph sub = induce(gr, b, scratch);
   return !all_blocks_clique_or_odd_cycle(block_decomposition(sub.graph));
 }
 
@@ -103,21 +106,23 @@ HappyAnalysis compute_happy_set_general(const Graph& g,
   const Vertex nr = gr.graph.num_vertices();
   std::vector<char> happy_gr(static_cast<std::size_t>(nr), 0);
 
+  // One scratch serves every search of the pass (-1 between calls), so
+  // per-ball work stays O(ball).
+  BfsScratch scratch(nr);
+
   // Condition 1 (exact): within rho of a witness, in G[R].
   std::vector<Vertex> low_degree;
   for (Vertex x = 0; x < nr; ++x)
     if (witness_mask[static_cast<std::size_t>(
             gr.to_original[static_cast<std::size_t>(x)])])
       low_degree.push_back(x);
-  mark_within(gr.graph, low_degree, rho, happy_gr);
+  mark_within(gr.graph, low_degree, rho, happy_gr, scratch);
 
   // Condition 2 (exact): per component of G[R].
   const Components comps = connected_components(gr.graph);
   for (const auto& comp : comps.groups()) {
     if (comp.size() <= 2) continue;  // tiny components are Gallai trees
-    std::vector<char> comp_mask(static_cast<std::size_t>(nr), 0);
-    for (Vertex x : comp) comp_mask[static_cast<std::size_t>(x)] = 1;
-    const InducedSubgraph cg = induce(gr.graph, comp);
+    const InducedSubgraph cg = induce(gr.graph, comp, scratch);
     // Fast path (2): a Gallai-tree component has only Gallai balls.
     if (all_blocks_clique_or_odd_cycle(block_decomposition(cg.graph)))
       continue;
@@ -128,19 +133,20 @@ HappyAnalysis compute_happy_set_general(const Graph& g,
       for (Vertex x : comp) happy_gr[static_cast<std::size_t>(x)] = 1;
       continue;
     }
-    // Escalating witness radii with monotone propagation.
-    for (Vertex r = 1;; r *= 2) {
-      const Vertex rr = std::min(r, rho);
+    // Escalating witness radii with monotone propagation: 1, 2, 4, ...,
+    // capped at rho (the doubling never overflows: it stops at rho).
+    for (Vertex rr = std::min<Vertex>(1, rho);;
+         rr = rr > rho / 2 ? rho : 2 * rr) {
       std::vector<Vertex> witnesses;
       for (Vertex x : comp) {
         if (happy_gr[static_cast<std::size_t>(x)]) continue;
-        if (ball_non_gallai(gr.graph, comp_mask, x, rr)) {
+        if (ball_non_gallai(gr.graph, x, rr, scratch)) {
           witnesses.push_back(x);
           happy_gr[static_cast<std::size_t>(x)] = 1;
         }
       }
       // Propagate: every vertex within rho - rr of a witness is happy.
-      mark_within(gr.graph, witnesses, rho - rr, happy_gr);
+      mark_within(gr.graph, witnesses, rho - rr, happy_gr, scratch);
       if (rr == rho) break;
     }
   }

@@ -23,7 +23,9 @@
 //      ball).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "scol/graph/graph.h"
 #include "scol/util/executor.h"
@@ -36,8 +38,10 @@ inline constexpr double kPaperBallConstant = 65.8211832733887;
 /// rho = ceil(c * ln n), at least 1.
 inline Vertex paper_ball_radius(Vertex n, double c = kPaperBallConstant) {
   if (n <= 1) return 1;
+  // Clamped to the Vertex range (a huge c must not wrap the cast).
   return static_cast<Vertex>(
-      std::max(1.0, std::ceil(c * std::log(static_cast<double>(n)))));
+      std::min(static_cast<double>(std::numeric_limits<Vertex>::max()),
+               std::max(1.0, std::ceil(c * std::log(static_cast<double>(n))))));
 }
 
 struct HappyAnalysis {

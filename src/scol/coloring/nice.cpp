@@ -32,9 +32,7 @@ ColoringReport nice_list_coloring(const Graph& g, const ListAssignment& lists,
 
   ColoringReport out = ColoringReport::colored(empty_coloring(n));
   if (n == 0) return out;
-  const Vertex radius = opts.radius_override > 0
-                            ? opts.radius_override
-                            : paper_ball_radius(n, opts.ball_constant);
+  const Vertex radius = resolve_ball_radius(n, opts);
   out.metrics.set_int("radius", radius);
   const Vertex delta = g.max_degree();
 

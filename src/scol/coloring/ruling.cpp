@@ -1,9 +1,17 @@
 #include "scol/coloring/ruling.h"
 
+#include <limits>
+
 #include "scol/graph/bfs.h"
 #include "scol/util/executor.h"
 
 namespace scol {
+
+int ruling_bits(Vertex n) {
+  int bits = 1;
+  while ((std::int64_t{1} << bits) < std::max<Vertex>(n, 2)) ++bits;
+  return bits;
+}
 
 RulingForest ruling_forest(const Graph& g, const std::vector<char>& in_u,
                            Vertex alpha, RoundLedger* ledger,
@@ -13,9 +21,9 @@ RulingForest ruling_forest(const Graph& g, const std::vector<char>& in_u,
   const Vertex n = g.num_vertices();
   SCOL_REQUIRE(static_cast<Vertex>(in_u.size()) == n);
   SCOL_REQUIRE(alpha >= 1);
-
-  int bits = 1;
-  while ((std::int64_t{1} << bits) < std::max<Vertex>(n, 2)) ++bits;
+  const int bits = ruling_bits(n);
+  SCOL_REQUIRE(alpha <= std::numeric_limits<Vertex>::max() / bits,
+               + "depth bound alpha * ceil(log2 n) overflows");
 
   RulingForest out;
   out.alpha = alpha;

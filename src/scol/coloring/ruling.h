@@ -35,6 +35,10 @@ struct RulingForest {
   bool in_forest(Vertex v) const { return root[static_cast<std::size_t>(v)] >= 0; }
 };
 
+/// ceil(log2 max(n, 2)): the bit phases of ruling_forest on n vertices,
+/// and the factor in its depth bound alpha * ruling_bits(n).
+int ruling_bits(Vertex n);
+
 /// Computes an (alpha, alpha*ceil(log2 n))-ruling forest of g with respect
 /// to U (mask). Roots are elements of U; every U-vertex lies in a tree.
 /// Parameter convention (DESIGN.md): executor directly after the ledger,

@@ -1,6 +1,8 @@
 #include "scol/coloring/sparse.h"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "scol/coloring/ert.h"
 #include "scol/coloring/kcoloring.h"
@@ -11,6 +13,19 @@
 #include "scol/util/prefetch.h"
 
 namespace scol {
+
+Vertex resolve_ball_radius(Vertex n, const SparseOptions& opts) {
+  const Vertex rho = opts.radius_override > 0
+                         ? opts.radius_override
+                         : paper_ball_radius(n, opts.ball_constant);
+  // extend_level_lemma32 builds its ruling forest with alpha = 2·rho + 2.
+  SCOL_REQUIRE(2 * std::int64_t{rho} + 2 <=
+                   std::numeric_limits<Vertex>::max() / ruling_bits(n),
+               + ("param 'radius' = " + std::to_string(rho) +
+                  " is too large: the ruling-forest depth (2·radius + 2)·"
+                  "ceil(log2 n) overflows"));
+  return rho;
+}
 
 // Extends the coloring of G_i - A_i to all of G_i (Lemma 3.2). May recolor
 // some vertices of G_i - A_i (as the paper allows). `aux_dmax` plays the
@@ -134,7 +149,9 @@ void extend_level_lemma32(const Graph& g, const LevelMasks& level,
   });
 
   // --- (d+1)-coloring of H = G_i[T]. ---
-  const InducedSubgraph h = induce(gr.graph, t_members);
+  // One scratch serves H and every root ball below (-1 between calls).
+  BfsScratch scratch(nr);
+  const InducedSubgraph h = induce(gr.graph, t_members, scratch);
   const DegreeColoringResult aux =
       distributed_degree_coloring(h.graph, d, &ledger, executor, "h-coloring");
 
@@ -198,8 +215,7 @@ void extend_level_lemma32(const Graph& g, const LevelMasks& level,
   std::vector<std::vector<Vertex>> balls;  // gr ids
   std::vector<Vertex> ball_of(static_cast<std::size_t>(nr), -1);
   for (std::size_t ri = 0; ri < rf.roots.size(); ++ri) {
-    const std::vector<char> all(static_cast<std::size_t>(nr), 1);
-    std::vector<Vertex> b = ball_within(gr.graph, all, rf.roots[ri], rho);
+    std::vector<Vertex> b = ball(gr.graph, rf.roots[ri], rho, scratch);
     for (Vertex x : b) {
       SCOL_CHECK(ball_of[static_cast<std::size_t>(x)] < 0,
                  + "root balls must be disjoint");
@@ -223,7 +239,7 @@ void extend_level_lemma32(const Graph& g, const LevelMasks& level,
           gr.to_original[static_cast<std::size_t>(x)])] = kUncolored;
 
   for (const auto& b : balls) {
-    const InducedSubgraph bg = induce(gr.graph, b);
+    const InducedSubgraph bg = induce(gr.graph, b, scratch);
     AvailableLists avail(static_cast<std::size_t>(bg.graph.num_vertices()));
     for (Vertex bx = 0; bx < bg.graph.num_vertices(); ++bx) {
       const Vertex x = bg.to_original[static_cast<std::size_t>(bx)];  // gr id
@@ -283,8 +299,7 @@ SparseResult list_color_sparse(const Graph& g, Vertex d,
     out.coloring = Coloring{};
     return out;
   }
-  out.radius = opts.radius_override > 0 ? opts.radius_override
-                                        : paper_ball_radius(n, opts.ball_constant);
+  out.radius = resolve_ball_radius(n, opts);
 
   // --- (d+1)-clique detection: 2 rounds (the clique lies in B_1). ---
   out.ledger.charge("clique-detect", 2);

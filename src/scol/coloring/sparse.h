@@ -51,6 +51,12 @@ struct SparseOptions {
   Arena* arena = nullptr;
 };
 
+/// The ball radius rho a run on n vertices uses: radius_override when
+/// > 0, else paper_ball_radius(n, ball_constant). Throws PreconditionError
+/// naming `radius` when rho is so large that the extension's ruling-forest
+/// depth bound (2·rho + 2)·ceil(log2 n) would overflow a Vertex.
+Vertex resolve_ball_radius(Vertex n, const SparseOptions& opts);
+
 struct PeelRecord {
   Vertex graph_size = 0;
   Vertex num_rich = 0;

@@ -1,7 +1,5 @@
 #include "scol/flow/dinic.h"
 
-#include <deque>
-
 namespace scol {
 
 Dinic::Dinic(int num_nodes) : head_(static_cast<std::size_t>(num_nodes), -1) {
@@ -21,11 +19,10 @@ int Dinic::add_edge(int u, int v, Cap cap) {
 
 bool Dinic::bfs(int s, int t) {
   level_.assign(head_.size(), -1);
-  std::deque<int> queue{s};
+  std::vector<int> queue{s};
   level_[static_cast<std::size_t>(s)] = 0;
-  while (!queue.empty()) {
-    const int v = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const int v = queue[head];
     for (int e = head_[static_cast<std::size_t>(v)]; e >= 0;
          e = arcs_[static_cast<std::size_t>(e)].next) {
       const Arc& a = arcs_[static_cast<std::size_t>(e)];
@@ -76,11 +73,10 @@ Dinic::Cap Dinic::max_flow(int s, int t) {
 
 std::vector<char> Dinic::min_cut_source_side(int s) const {
   std::vector<char> side(head_.size(), 0);
-  std::deque<int> queue{s};
+  std::vector<int> queue{s};
   side[static_cast<std::size_t>(s)] = 1;
-  while (!queue.empty()) {
-    const int v = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const int v = queue[head];
     for (int e = head_[static_cast<std::size_t>(v)]; e >= 0;
          e = arcs_[static_cast<std::size_t>(e)].next) {
       const Arc& a = arcs_[static_cast<std::size_t>(e)];

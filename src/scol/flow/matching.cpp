@@ -1,6 +1,5 @@
 #include "scol/flow/matching.h"
 
-#include <deque>
 #include <limits>
 
 namespace scol {
@@ -25,7 +24,7 @@ void BipartiteMatcher::add_edge(int l, int r) {
 }
 
 bool BipartiteMatcher::bfs() {
-  std::deque<int> queue;
+  std::vector<int> queue;
   for (int l = 0; l < nl_; ++l) {
     if (match_l_[static_cast<std::size_t>(l)] < 0) {
       dist_[static_cast<std::size_t>(l)] = 0;
@@ -35,9 +34,8 @@ bool BipartiteMatcher::bfs() {
     }
   }
   bool found = false;
-  while (!queue.empty()) {
-    const int l = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const int l = queue[head];
     for (int r : adj_[static_cast<std::size_t>(l)]) {
       const int l2 = match_r_[static_cast<std::size_t>(r)];
       if (l2 < 0) {

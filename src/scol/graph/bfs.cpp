@@ -30,45 +30,45 @@ std::vector<Vertex> bfs_distances(const Graph& g,
   return dist;
 }
 
-std::vector<Vertex> ball(const Graph& g, Vertex v, Vertex radius) {
+namespace {
+
+// Shared body of ball / ball_within (mask empty = whole graph): BFS order
+// from v with dist kept in scratch.mark, reset for every reached vertex
+// before returning.
+std::vector<Vertex> ball_body(const Graph& g, std::span<const char> mask,
+                              Vertex v, Vertex radius, BfsScratch& scratch) {
   SCOL_REQUIRE(g.valid(v) && radius >= 0);
-  std::vector<Vertex> dist(static_cast<std::size_t>(g.num_vertices()), -1);
-  std::vector<Vertex> order;
+  std::vector<Vertex>& dist = scratch.mark;
+  SCOL_REQUIRE(static_cast<Vertex>(dist.size()) == g.num_vertices());
+  std::vector<Vertex> order{v};
   dist[v] = 0;
-  order.push_back(v);
   for (std::size_t head = 0; head < order.size(); ++head) {
     const Vertex u = order[head];
     if (dist[u] == radius) continue;
     for (Vertex w : g.neighbors(u)) {
-      if (dist[w] < 0) {
+      if (dist[w] < 0 && (mask.empty() || mask[w])) {
         dist[w] = dist[u] + 1;
         order.push_back(w);
       }
     }
   }
+  for (Vertex u : order) dist[u] = -1;
   return order;
 }
 
-std::vector<Vertex> ball_within(const Graph& g, const std::vector<char>& mask,
-                                Vertex v, Vertex radius) {
-  SCOL_REQUIRE(g.valid(v) && radius >= 0);
+}  // namespace
+
+std::vector<Vertex> ball(const Graph& g, Vertex v, Vertex radius,
+                         BfsScratch& scratch) {
+  return ball_body(g, {}, v, radius, scratch);
+}
+
+std::vector<Vertex> ball_within(const Graph& g, std::span<const char> mask,
+                                Vertex v, Vertex radius, BfsScratch& scratch) {
   SCOL_REQUIRE(static_cast<Vertex>(mask.size()) == g.num_vertices());
+  SCOL_REQUIRE(g.valid(v));
   if (!mask[v]) return {};
-  std::vector<Vertex> dist(static_cast<std::size_t>(g.num_vertices()), -1);
-  std::vector<Vertex> order;
-  dist[v] = 0;
-  order.push_back(v);
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    const Vertex u = order[head];
-    if (dist[u] == radius) continue;
-    for (Vertex w : g.neighbors(u)) {
-      if (mask[w] && dist[w] < 0) {
-        dist[w] = dist[u] + 1;
-        order.push_back(w);
-      }
-    }
-  }
-  return order;
+  return ball_body(g, mask, v, radius, scratch);
 }
 
 Vertex eccentricity(const Graph& g, Vertex v) {

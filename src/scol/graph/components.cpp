@@ -1,7 +1,5 @@
 #include "scol/graph/components.h"
 
-#include <deque>
-
 namespace scol {
 
 std::vector<std::vector<Vertex>> Components::groups() const {
@@ -17,11 +15,10 @@ Components connected_components(const Graph& g) {
   for (Vertex s = 0; s < g.num_vertices(); ++s) {
     if (c.id[s] >= 0) continue;
     const Vertex comp = c.count++;
-    std::deque<Vertex> queue{s};
+    std::vector<Vertex> queue{s};
     c.id[s] = comp;
-    while (!queue.empty()) {
-      const Vertex u = queue.front();
-      queue.pop_front();
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const Vertex u = queue[head];
       for (Vertex w : g.neighbors(u)) {
         if (c.id[w] < 0) {
           c.id[w] = comp;
@@ -50,12 +47,11 @@ bool is_connected_without(const Graph& g, const std::vector<char>& removed) {
   }
   if (remaining <= 1) return true;
   std::vector<char> seen(static_cast<std::size_t>(g.num_vertices()), 0);
-  std::deque<Vertex> queue{start};
+  std::vector<Vertex> queue{start};
   seen[start] = 1;
   Vertex visited = 1;
-  while (!queue.empty()) {
-    const Vertex u = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Vertex u = queue[head];
     for (Vertex w : g.neighbors(u)) {
       if (!removed[w] && !seen[w]) {
         seen[w] = 1;

@@ -1,7 +1,5 @@
 #include "scol/graph/girth.h"
 
-#include <deque>
-
 namespace scol {
 
 Vertex girth(const Graph& g, Vertex limit) {
@@ -13,19 +11,22 @@ Vertex girth(const Graph& g, Vertex limit) {
   // which always contains a cycle no longer than the walk — so the
   // minimum over all roots of the reports <= limit stays exact.
   const Vertex depth = limit < 0 ? -1 : (limit + 1) / 2;
-  std::vector<Vertex> dist(static_cast<std::size_t>(n));
+  // dist is -1 between sources: each source resets only what the
+  // previous one reached (the queue holds exactly those vertices).
+  std::vector<Vertex> dist(static_cast<std::size_t>(n), -1);
   std::vector<Vertex> parent(static_cast<std::size_t>(n));
-  for (Vertex s = 0; s < n; ++s) {
+  std::vector<Vertex> queue;
+  // A simple graph has no cycle shorter than 3, so a triangle ends the scan.
+  for (Vertex s = 0; s < n && best != 3; ++s) {
     // BFS from s; a non-tree edge (u, w) closes a cycle through s of length
     // dist[u] + dist[w] + 1 (exact when u, w are on shortest paths from s,
     // which BFS guarantees; minimizing over all s gives the girth).
-    std::fill(dist.begin(), dist.end(), -1);
-    std::deque<Vertex> queue{s};
+    for (Vertex u : queue) dist[u] = -1;
+    queue.assign(1, s);
     dist[s] = 0;
     parent[s] = -1;
-    while (!queue.empty()) {
-      const Vertex u = queue.front();
-      queue.pop_front();
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const Vertex u = queue[head];
       if (best >= 0 && 2 * dist[u] >= best) break;  // cannot improve
       if (depth >= 0 && dist[u] >= depth) continue;  // truncated scan
       for (Vertex w : g.neighbors(u)) {

@@ -11,6 +11,9 @@ namespace scol {
 /// girth when it is <= limit, else -1 (certifying girth > limit) — the
 /// BFS is truncated at depth ceil(limit/2), so the scan is
 /// O(n · Δ^(limit/2)); the structure probe (io/probe.h) uses this form.
+/// Each source costs only what its BFS reaches (the distance array is
+/// reset per reached vertex, not cleared per source), and the scan stops
+/// at the first triangle, since no simple graph has a shorter cycle.
 Vertex girth(const Graph& g, Vertex limit = -1);
 
 /// True iff no triangle exists (girth > 3 or acyclic).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "scol/graph/bfs.h"
+
 namespace scol {
 namespace {
 
@@ -127,34 +129,43 @@ Graph GraphBuilder::build() const {
 
 namespace {
 
-// Direct CSR fill from a prepared relabeling (out.to_original sorted
-// ascending, out.to_induced its inverse, -1 elsewhere): the relabeling
+// Direct CSR fill from a prepared relabeling (to_original sorted
+// ascending, to_induced its inverse, -1 elsewhere): the relabeling
 // v -> to_induced[v] is monotone, so the source graph's sorted lists
 // stay sorted after filtering — no edge vector, no sort. Kept-neighbor
 // membership is read off to_induced, so the fill is O(sum deg) over the
 // kept vertices only.
-void fill_induced_csr(const Graph& g, InducedSubgraph& out) {
-  const Vertex nk = static_cast<Vertex>(out.to_original.size());
+Graph fill_induced_csr(const Graph& g, const std::vector<Vertex>& to_original,
+                       std::span<const Vertex> to_induced) {
+  const Vertex nk = static_cast<Vertex>(to_original.size());
   std::vector<std::int64_t> offsets(static_cast<std::size_t>(nk) + 1, 0);
   std::vector<Vertex> adj;
   for (Vertex x = 0; x < nk; ++x) {
     std::int64_t deg = 0;
-    for (Vertex w : g.neighbors(out.to_original[static_cast<std::size_t>(x)]))
-      if (out.to_induced[static_cast<std::size_t>(w)] >= 0) ++deg;
+    for (Vertex w : g.neighbors(to_original[static_cast<std::size_t>(x)]))
+      if (to_induced[static_cast<std::size_t>(w)] >= 0) ++deg;
     offsets[static_cast<std::size_t>(x) + 1] =
         offsets[static_cast<std::size_t>(x)] + deg;
   }
   adj.resize(static_cast<std::size_t>(offsets[nk]));
   for (Vertex x = 0; x < nk; ++x) {
     std::size_t i = static_cast<std::size_t>(offsets[x]);
-    for (Vertex w : g.neighbors(out.to_original[static_cast<std::size_t>(x)]))
-      if (out.to_induced[static_cast<std::size_t>(w)] >= 0)
-        adj[i++] = out.to_induced[static_cast<std::size_t>(w)];
+    for (Vertex w : g.neighbors(to_original[static_cast<std::size_t>(x)]))
+      if (to_induced[static_cast<std::size_t>(w)] >= 0)
+        adj[i++] = to_induced[static_cast<std::size_t>(w)];
   }
-  out.graph = Graph::from_csr(nk, std::move(offsets), std::move(adj));
+  return Graph::from_csr(nk, std::move(offsets), std::move(adj));
 }
 
 }  // namespace
+
+Vertex InducedSubgraph::induced_id(Vertex original) const {
+  const auto it =
+      std::lower_bound(to_original.begin(), to_original.end(), original);
+  return it != to_original.end() && *it == original
+             ? static_cast<Vertex>(it - to_original.begin())
+             : -1;
+}
 
 InducedSubgraph induce(const Graph& g, std::span<const char> keep) {
   SCOL_REQUIRE(static_cast<Vertex>(keep.size()) == g.num_vertices());
@@ -166,29 +177,32 @@ InducedSubgraph induce(const Graph& g, std::span<const char> keep) {
       out.to_original.push_back(v);
     }
   }
-  fill_induced_csr(g, out);
+  out.graph = fill_induced_csr(g, out.to_original, out.to_induced);
   return out;
 }
 
-InducedSubgraph induce(const Graph& g, const std::vector<Vertex>& vertices) {
+InducedSubgraph induce(const Graph& g, const std::vector<Vertex>& vertices,
+                       BfsScratch& scratch) {
   // The happy-set and root-ball paths induce many small balls out of a
-  // big graph; sorting the k ids directly keeps this overload at
-  // O(k log k + k deg) past the unavoidable O(n) relabeling memset,
-  // instead of a full keep-mask scan of the graph. The result is
-  // identical to the mask overload: vertices end up ordered by original
-  // id either way.
+  // big graph; sorting the k ids and relabeling through the caller's
+  // scratch (set, fill, reset) keeps this overload at O(k log k + k deg)
+  // with no n-sized array. Vertices end up ordered by original id, so
+  // the result is identical to the mask overload's.
+  std::vector<Vertex>& new_id = scratch.mark;
+  SCOL_REQUIRE(static_cast<Vertex>(new_id.size()) == g.num_vertices());
   InducedSubgraph out;
   out.to_original = vertices;
   std::sort(out.to_original.begin(), out.to_original.end());
-  out.to_induced.assign(static_cast<std::size_t>(g.num_vertices()), -1);
-  for (std::size_t x = 0; x < out.to_original.size(); ++x) {
-    const Vertex v = out.to_original[x];
-    SCOL_REQUIRE(g.valid(v));
-    SCOL_REQUIRE(out.to_induced[static_cast<std::size_t>(v)] < 0,
-                 + "duplicate vertex in induce()");
-    out.to_induced[static_cast<std::size_t>(v)] = static_cast<Vertex>(x);
-  }
-  fill_induced_csr(g, out);
+  // Sorted, so range is checked at the ends and duplicates are adjacent —
+  // both before the scratch is touched.
+  const std::vector<Vertex>& ids = out.to_original;
+  SCOL_REQUIRE(ids.empty() || (g.valid(ids.front()) && g.valid(ids.back())));
+  SCOL_REQUIRE(std::adjacent_find(ids.begin(), ids.end()) == ids.end(),
+               + "duplicate vertex in induce()");
+  for (std::size_t x = 0; x < ids.size(); ++x)
+    new_id[static_cast<std::size_t>(ids[x])] = static_cast<Vertex>(x);
+  out.graph = fill_induced_csr(g, ids, new_id);
+  for (Vertex v : ids) new_id[static_cast<std::size_t>(v)] = -1;
   return out;
 }
 

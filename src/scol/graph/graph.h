@@ -125,14 +125,22 @@ class GraphBuilder {
   std::vector<Edge> edges_;
 };
 
+struct BfsScratch;  // graph/bfs.h
+
 /// Result of taking an induced subgraph: the graph plus the map from new
 /// vertex ids to the original ids (new id i corresponds to original
-/// `to_original[i]`).
+/// `to_original[i]`; ascending in both overloads).
 struct InducedSubgraph {
   Graph graph;
   std::vector<Vertex> to_original;
-  /// original -> new id, or -1 if the original vertex was dropped.
+  /// original -> new id, or -1 if the original vertex was dropped. Filled
+  /// by the mask overload only; the vertex-set overload leaves it empty
+  /// (use induced_id).
   std::vector<Vertex> to_induced;
+
+  /// New id of `original`, or -1 if it was dropped; O(log k) search of
+  /// the sorted to_original, valid for both overloads.
+  Vertex induced_id(Vertex original) const;
 };
 
 /// Induced subgraph on `keep` (mask of size n, nonzero = keep). Span mask,
@@ -140,12 +148,14 @@ struct InducedSubgraph {
 InducedSubgraph induce(const Graph& g, std::span<const char> keep);
 
 /// Induced subgraph on an explicit vertex set (need not be sorted; must not
-/// contain duplicates). Past the O(n) relabeling memset this costs only
-/// O(k log k + sum deg over the kept vertices), so inducing many small
-/// balls out of a big graph — the happy-set escalation path — stays
-/// proportional to ball size. Result is identical to the mask overload
-/// (vertices ordered by original id).
-InducedSubgraph induce(const Graph& g, const std::vector<Vertex>& vertices);
+/// contain duplicates). Relabels through `scratch` (sized for g, -1 between
+/// calls, reset before returning), so the cost is O(k log k + sum deg over
+/// the kept vertices) with no O(n) work — inducing many small balls out of
+/// a big graph stays proportional to ball size. Result is identical to the
+/// mask overload (vertices ordered by original id) except that to_induced
+/// stays empty.
+InducedSubgraph induce(const Graph& g, const std::vector<Vertex>& vertices,
+                       BfsScratch& scratch);
 
 /// Relabels vertices by `perm` (new id of v is perm[v]); perm must be a
 /// permutation of 0..n-1. Used for ID-robustness tests.

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "scol/flow/density.h"
+#include "scol/graph/bfs.h"
 #include "scol/graph/cliques.h"
 #include "scol/graph/components.h"
 #include "scol/graph/girth.h"
@@ -77,7 +78,8 @@ GraphProbe probe_sampled(const Graph& g, const ProbeOptions& options,
       if (picked.insert(v).second) sample.push_back(v);
     }
   }
-  const InducedSubgraph sub = induce(g, sample);
+  BfsScratch scratch(p.n);
+  const InducedSubgraph sub = induce(g, sample, scratch);
   p.degeneracy_lower = degeneracy_order(sub.graph).degeneracy;
 
   // Work-capped triangle scan over the host adjacency, walking the

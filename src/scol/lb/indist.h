@@ -10,16 +10,19 @@
 // (rooted isomorphism, since the algorithm sits at the ball's center).
 #pragma once
 
+#include "scol/graph/bfs.h"
 #include "scol/graph/graph.h"
 
 namespace scol {
 
-/// Extracts the induced ball of radius r around v, rooted at v.
+/// Extracts the induced ball of radius r around v, rooted at v, through
+/// the caller's scratch for g (graph/bfs.h), so a ball costs O(ball).
 struct RootedBall {
   Graph graph;
   Vertex root = 0;  // id of v inside `graph`
 };
-RootedBall extract_ball(const Graph& g, Vertex v, Vertex radius);
+RootedBall extract_ball(const Graph& g, Vertex v, Vertex radius,
+                        BfsScratch& scratch);
 
 /// True iff for every center in h_centers, the radius-r ball of H around
 /// it is rooted-isomorphic to the radius-r ball of `target` around some

@@ -163,9 +163,15 @@ void ShardedExecutor::parallel_ranges(
     superstep(body);
     return;
   }
-  // Narrower loop (palette scan, reduction): plain disjoint chunks over the
-  // same shard topology, no exchange — a real backend would run these
-  // shard-locally too, they touch no cross-shard state.
+  // Narrower loop (palette scan, reduction, a ball-sized sub-solve): no
+  // exchange — a real backend would run these shard-locally too, they
+  // touch no cross-shard state. Below the grain the body runs inline as
+  // one range (a pool round-trip costs more than such a loop); wider ones
+  // split into plain disjoint chunks over the same shard topology.
+  if (n < kDefaultGrain) {
+    body(0, n);
+    return;
+  }
   const std::size_t p = static_cast<std::size_t>(plan_.shards);
   const std::size_t chunk = (n + p - 1) / p;
   for_each_shard([&](int s) {

@@ -13,8 +13,9 @@
 // BSP superstep — each shard runs the body over its own range (with its own
 // Arena for message payloads), then posts one message per neighboring shard
 // into a mutex-guarded ShardChannel, then every shard drains its inbox and
-// verifies the counted exchange. Narrower loops (palette scans, reductions)
-// fall back to plain disjoint chunks with no exchange accounting. Because
+// verifies the counted exchange. Narrower loops (palette scans, reductions,
+// ball-sized sub-solves) carry no exchange accounting: below kDefaultGrain
+// they run inline as one range, wider ones as plain disjoint chunks. Because
 // the shard ranges are disjoint and exactly cover [0, n), results are
 // bit-identical to SerialExecutor — the golden corpus pins this for
 // p ∈ {1, 2, 4, 8}.

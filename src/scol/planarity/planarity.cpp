@@ -1,10 +1,10 @@
 #include "scol/planarity/planarity.h"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <set>
 
+#include "scol/graph/bfs.h"
 #include "scol/graph/blocks.h"
 #include "scol/graph/components.h"
 
@@ -131,11 +131,10 @@ bool demoucron(const Graph& g) {
     for (Vertex s = 0; s < n; ++s) {
       if (in_h[s] || comp[s] >= 0) continue;
       const Vertex c = num_comp++;
-      std::deque<Vertex> queue{s};
+      std::vector<Vertex> queue{s};
       comp[s] = c;
-      while (!queue.empty()) {
-        const Vertex x = queue.front();
-        queue.pop_front();
+      for (std::size_t head = 0; head < queue.size(); ++head) {
+        const Vertex x = queue[head];
         for (Vertex y : g.neighbors(x)) {
           if (!in_h[y] && comp[y] < 0) {
             comp[y] = c;
@@ -202,7 +201,7 @@ bool demoucron(const Graph& g) {
       // any other attachment b.
       const Vertex a = fr.attachments[0];
       std::vector<Vertex> par(static_cast<std::size_t>(n), -2);
-      std::deque<Vertex> queue;
+      std::vector<Vertex> queue;
       for (Vertex w : g.neighbors(a)) {
         if (comp[w] == comp[fr.interior[0]] && par[w] == -2) {
           par[w] = -1;
@@ -210,9 +209,8 @@ bool demoucron(const Graph& g) {
         }
       }
       Vertex hit = -1, hit_via = -1;
-      while (!queue.empty() && hit < 0) {
-        const Vertex x = queue.front();
-        queue.pop_front();
+      for (std::size_t head = 0; head < queue.size() && hit < 0; ++head) {
+        const Vertex x = queue[head];
         for (Vertex y : g.neighbors(x)) {
           if (in_h[y]) {
             if (y != a) {
@@ -281,9 +279,10 @@ bool is_planar(const Graph& g) {
   if (g.num_edges() > 3 * static_cast<std::int64_t>(n) - 6) return false;
   // Planar iff every block is planar.
   const BlockDecomposition blocks = block_decomposition(g);
+  BfsScratch scratch(n);
   for (const Block& b : blocks.blocks) {
     if (b.vertices.size() <= 3) continue;  // edges/triangles always planar
-    const InducedSubgraph sub = induce(g, b.vertices);
+    const InducedSubgraph sub = induce(g, b.vertices, scratch);
     if (!demoucron(sub.graph)) return false;
   }
   return true;

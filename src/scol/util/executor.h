@@ -24,6 +24,11 @@
 
 namespace scol {
 
+/// Minimum number of indices worth a parallel chunk: ThreadPoolExecutor's
+/// default grain, and the width below which ShardedExecutor runs a narrow
+/// (non-superstep) loop inline as one range.
+inline constexpr std::size_t kDefaultGrain = 256;
+
 class Executor {
  public:
   virtual ~Executor() = default;
@@ -54,7 +59,8 @@ class ThreadPoolExecutor final : public Executor {
   /// threads <= 0 selects hardware concurrency. `grain` is the minimum
   /// number of indices per chunk; small loops stay effectively serial so
   /// the pool never costs more than it saves.
-  explicit ThreadPoolExecutor(int threads = 0, std::size_t grain = 256)
+  explicit ThreadPoolExecutor(int threads = 0,
+                              std::size_t grain = kDefaultGrain)
       : pool_(threads), grain_(std::max<std::size_t>(grain, 1)) {}
 
   int concurrency() const override { return pool_.num_threads(); }

@@ -229,6 +229,43 @@ TEST(Solve, MisuseThrowsButAlgorithmFailureReports) {
   EXPECT_FALSE(r.failure_reason.empty());
 }
 
+// An out-of-range `radius` is an ordinary parameter error (a failed report
+// naming the param), never truncated into a default run or an assertion
+// deep in the ruling forest. On 36 vertices ceil(log2 n) = 6, so the
+// ruling-forest depth (2·radius + 2)·6 fits a Vertex up to radius
+// 178956969.
+TEST(Solve, OutOfRangeRadiusIsAParameterError) {
+  const Graph g = grid(6, 6);
+  const ListAssignment lists = uniform_lists(g.num_vertices(), 6);
+  RunContext ctx;
+  const auto run = [&](const std::string& algo, const std::string& key,
+                       ParamBag::Value value) {
+    ColoringRequest req = make_request(algo, g, lists);
+    req.params.set(key, std::move(value));
+    return solve(req, ctx);
+  };
+  for (const std::int64_t radius :
+       {std::int64_t{3'000'000'000}, std::int64_t{-3'000'000'000},
+        std::int64_t{2'000'000'000}, std::int64_t{178'956'970}}) {
+    for (const char* algo : {"planar6", "sparse", "nice"}) {
+      const ColoringReport r = run(algo, "radius", radius);
+      EXPECT_EQ(r.status, SolveStatus::kFailed) << algo << " " << radius;
+      EXPECT_NE(r.failure_reason.find("param 'radius' = " +
+                                      std::to_string(radius)),
+                std::string::npos)
+          << r.failure_reason;
+    }
+  }
+  // A huge ball constant derives an equally huge radius: refused too.
+  EXPECT_NE(run("planar6", "ball_constant", 1e300)
+                .failure_reason.find("param 'radius'"),
+            std::string::npos);
+  const ColoringReport at_bound =
+      run("planar6", "radius", std::int64_t{178'956'969});
+  EXPECT_EQ(at_bound.status, SolveStatus::kColored) << at_bound.failure_reason;
+  EXPECT_EQ(at_bound.metrics.get_int("radius", -1), 178'956'969);
+}
+
 TEST(Solve, ContextBudgetsLedgerAndTelemetry) {
   const Graph g = grid(6, 6);
   const ListAssignment lists = uniform_lists(g.num_vertices(), 6);
@@ -388,6 +425,14 @@ TEST(Params, TypedBagAndParsing) {
   EXPECT_EQ(bag.get_int("absent", -7), -7);
   EXPECT_THROW(bag.get_int("mode", 0), PreconditionError);
   EXPECT_THROW(bag.get_flag("n", false), PreconditionError);
+  // get_int_as refuses what the target type cannot hold.
+  bag.set_int("big", std::int64_t{1} << 31);
+  EXPECT_EQ(bag.get_int_as<std::int32_t>("n", -1), 42);
+  EXPECT_EQ(bag.get_int_as<std::int32_t>("absent", -1), -1);
+  EXPECT_EQ(bag.get_int_as<std::int64_t>("big", 0), std::int64_t{1} << 31);
+  EXPECT_THROW(bag.get_int_as<std::int32_t>("big", 0), PreconditionError);
+  bag.set_int("big", -(std::int64_t{1} << 31) - 1);
+  EXPECT_THROW(bag.get_int_as<std::int32_t>("big", 0), PreconditionError);
 
   ParamBag parsed;
   parse_param(parsed, "k=12");

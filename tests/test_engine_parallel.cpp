@@ -5,8 +5,12 @@
 // parallel run must be indistinguishable from a serial run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 
 #include "proptest.h"
 #include "scol/api/json.h"
@@ -399,6 +403,67 @@ TEST(ShardedExecutor, ExchangeAccountingMatchesThePlan) {
   std::int64_t sum = 0;
   for (const std::int64_t m : per_round) sum += m;
   EXPECT_EQ(sum, stats.messages);
+}
+
+// A loop narrower than the plan runs no superstep. Below kDefaultGrain it
+// runs inline as the single range (0, n) on the calling thread; at the
+// grain and above it still splits into disjoint chunks covering [0, n).
+// Neither adds exchange traffic, and parallel_min_index agrees with serial.
+TEST(ShardedExecutor, NarrowLoopsBelowTheGrainRunInlineAsOneRange) {
+  Rng rng(2081);
+  const Graph g = gnm(1000, 2500, rng);
+  for (const bool threaded : {false, true}) {
+    ShardOptions options;
+    options.shards = 4;
+    options.threaded = threaded;
+    ShardedExecutor sharded(g, options);
+    const auto ranges_of = [&](std::size_t n) {
+      std::mutex mu;
+      std::vector<std::pair<std::size_t, std::size_t>> ranges;
+      bool off_thread = false;
+      const auto caller = std::this_thread::get_id();
+      sharded.parallel_ranges(n, [&](std::size_t begin, std::size_t end) {
+        std::lock_guard<std::mutex> lock(mu);
+        ranges.emplace_back(begin, end);
+        off_thread |= std::this_thread::get_id() != caller;
+      });
+      std::sort(ranges.begin(), ranges.end());
+      return std::make_pair(ranges, off_thread);
+    };
+    for (const std::size_t n : {std::size_t{1}, std::size_t{37},
+                                kDefaultGrain - 1}) {
+      const auto [ranges, off_thread] = ranges_of(n);
+      EXPECT_EQ(ranges, (std::vector<std::pair<std::size_t, std::size_t>>{
+                            {0, n}}))
+          << "n=" << n << " threaded=" << threaded;
+      EXPECT_FALSE(off_thread) << "n=" << n;
+    }
+    for (const std::size_t n : {kDefaultGrain, std::size_t{999}}) {
+      const auto [ranges, off_thread] = ranges_of(n);
+      EXPECT_EQ(ranges.size(), 4u) << "n=" << n;
+      std::size_t next = 0;
+      for (const auto& [begin, end] : ranges) {
+        EXPECT_EQ(begin, next);
+        next = end;
+      }
+      EXPECT_EQ(next, n);
+    }
+    for (const std::size_t n : {std::size_t{1}, std::size_t{60},
+                                kDefaultGrain - 1, kDefaultGrain,
+                                std::size_t{999}}) {
+      for (const std::size_t stride : {std::size_t{1}, std::size_t{7},
+                                       std::size_t{97}, std::size_t{5000}}) {
+        const auto pred = [&](std::size_t i) { return i % stride == stride - 1; };
+        EXPECT_EQ(parallel_min_index(sharded, n, pred),
+                  parallel_min_index(serial_executor(), n, pred))
+            << "n=" << n << " stride=" << stride;
+      }
+    }
+    const ExchangeStats stats = sharded.stats();
+    EXPECT_EQ(stats.rounds, 0);
+    EXPECT_EQ(stats.messages, 0);
+    EXPECT_EQ(stats.bytes, 0);
+  }
 }
 
 // The tentpole property: sharded solve() reports are bit-for-bit the

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "scol/gen/lattice.h"
 #include "scol/gen/random.h"
 #include "scol/gen/special.h"
 #include "scol/graph/bfs.h"
@@ -66,7 +68,8 @@ TEST(Bfs, DistancesOnPath) {
 
 TEST(Bfs, BallContents) {
   const Graph p = path(7);
-  const auto b = ball(p, 3, 2);
+  BfsScratch scratch(7);
+  const auto b = ball(p, 3, 2, scratch);
   std::vector<Vertex> sorted(b.begin(), b.end());
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, (std::vector<Vertex>{1, 2, 3, 4, 5}));
@@ -76,11 +79,12 @@ TEST(Bfs, BallWithinMask) {
   const Graph p = path(7);
   std::vector<char> mask(7, 1);
   mask[2] = 0;  // cut the path
-  const auto b = ball_within(p, mask, 3, 5);
+  BfsScratch scratch(7);
+  const auto b = ball_within(p, mask, 3, 5, scratch);
   std::vector<Vertex> sorted(b.begin(), b.end());
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, (std::vector<Vertex>{3, 4, 5, 6}));
-  EXPECT_TRUE(ball_within(p, mask, 2, 3).empty());  // center masked out
+  EXPECT_TRUE(ball_within(p, mask, 2, 3, scratch).empty());  // center masked out
 }
 
 TEST(Bfs, MultiSource) {
@@ -88,6 +92,83 @@ TEST(Bfs, MultiSource) {
   const auto d = bfs_distances(p, std::vector<Vertex>{0, 8});
   EXPECT_EQ(d[4], 4);
   EXPECT_EQ(d[7], 1);
+}
+
+// Reference ball: a fresh n-sized distance array per call, BFS order from
+// v (mask == nullptr means the whole graph).
+std::vector<Vertex> reference_ball(const Graph& g, const std::vector<char>* mask,
+                                   Vertex v, Vertex radius) {
+  const auto keep = [&](Vertex x) {
+    return mask == nullptr || (*mask)[static_cast<std::size_t>(x)];
+  };
+  if (!keep(v)) return {};
+  std::vector<Vertex> dist(static_cast<std::size_t>(g.num_vertices()), -1);
+  std::vector<Vertex> order{v};
+  dist[static_cast<std::size_t>(v)] = 0;
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const Vertex u = order[head];
+    if (dist[static_cast<std::size_t>(u)] == radius) continue;
+    for (Vertex w : g.neighbors(u)) {
+      if (keep(w) && dist[static_cast<std::size_t>(w)] < 0) {
+        dist[static_cast<std::size_t>(w)] = dist[static_cast<std::size_t>(u)] + 1;
+        order.push_back(w);
+      }
+    }
+  }
+  return order;
+}
+
+// One scratch serves a long mixed sequence of ball / ball_within / induce
+// calls (masked-out centers and radius 0 included); every call equals a
+// fresh reference, and the scratch is back at -1 after each.
+TEST(BfsScratch, ReuseMatchesFreshReference) {
+  Rng rng(20261017);
+  for (int trial = 0; trial < 8; ++trial) {
+    const Vertex n = 20 + static_cast<Vertex>(rng.below(60));
+    const Graph g = gnm(n, n / 2 + static_cast<std::int64_t>(rng.below(
+                                       2 * static_cast<std::uint64_t>(n))),
+                        rng);
+    std::vector<char> mask(static_cast<std::size_t>(n));
+    for (char& m : mask) m = rng.below(4) != 0;
+    const std::vector<Vertex> clean(static_cast<std::size_t>(n), -1);
+    BfsScratch scratch(n);
+    int masked_centers = 0;
+    for (int call = 0; call < 300; ++call) {
+      const Vertex v = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+      const Vertex r = static_cast<Vertex>(rng.below(5));
+      switch (call % 3) {
+        case 0:
+          EXPECT_EQ(ball(g, v, r, scratch), reference_ball(g, nullptr, v, r));
+          break;
+        case 1:
+          masked_centers += !mask[static_cast<std::size_t>(v)];
+          EXPECT_EQ(ball_within(g, mask, v, r, scratch),
+                    reference_ball(g, &mask, v, r));
+          break;
+        default: {
+          const std::vector<Vertex> b = reference_ball(g, nullptr, v, r);
+          const InducedSubgraph sub = induce(g, b, scratch);
+          std::vector<char> keep(static_cast<std::size_t>(n), 0);
+          for (Vertex x : b) keep[static_cast<std::size_t>(x)] = 1;
+          const InducedSubgraph ref = induce(g, keep);
+          EXPECT_EQ(sub.to_original, ref.to_original);
+          EXPECT_EQ(sub.graph.edges(), ref.graph.edges());
+          EXPECT_TRUE(sub.to_induced.empty());
+          for (Vertex x = 0; x < n; ++x)
+            EXPECT_EQ(sub.induced_id(x), ref.to_induced[static_cast<std::size_t>(x)]);
+        }
+      }
+      ASSERT_EQ(scratch.mark, clean) << "trial " << trial << " call " << call;
+    }
+    EXPECT_GT(masked_centers, 0);
+    EXPECT_EQ(ball(g, 0, 0, scratch), std::vector<Vertex>{0});
+    // A refused induce leaves the scratch clean too.
+    EXPECT_THROW(induce(g, std::vector<Vertex>{1, 2, 1}, scratch),
+                 PreconditionError);
+    EXPECT_THROW(induce(g, std::vector<Vertex>{0, n}, scratch),
+                 PreconditionError);
+    EXPECT_EQ(scratch.mark, clean);
+  }
 }
 
 TEST(Components, CountsAndGroups) {
@@ -195,6 +276,51 @@ TEST(Girth, TriangleFree) {
   EXPECT_TRUE(triangle_free(cycle(5)));
   EXPECT_TRUE(triangle_free(grotzsch()));
   EXPECT_FALSE(triangle_free(complete(3)));
+}
+
+// Brute-force girth: the shortest cycle through edge {u, w} has length
+// 1 + dist(u, w) in g minus that edge; minimize over edges, -1 if acyclic.
+Vertex brute_force_girth(const Graph& g) {
+  const std::vector<Edge> edges = g.edges();
+  Vertex best = -1;
+  for (const Edge& e : edges) {
+    std::vector<Edge> rest;
+    for (const Edge& f : edges)
+      if (f != e) rest.push_back(f);
+    const Vertex d = bfs_distances(Graph::from_edges(g.num_vertices(), rest),
+                                   e.first)[static_cast<std::size_t>(e.second)];
+    if (d >= 0 && (best < 0 || d + 1 < best)) best = d + 1;
+  }
+  return best;
+}
+
+void expect_girth_matches_brute_force(const Graph& g, const std::string& what) {
+  const Vertex exact = brute_force_girth(g);
+  EXPECT_EQ(girth(g, -1), exact) << what;
+  for (Vertex limit = 3; limit <= 8; ++limit)
+    EXPECT_EQ(girth(g, limit), exact >= 0 && exact <= limit ? exact : -1)
+        << what << " limit=" << limit;
+}
+
+// The exact and truncated scans against brute force: random graphs from
+// forests to dense ones, plus triangle-free families (grid 4, hex 6,
+// Petersen 5, Heawood 6, McGee 7) where no triangle ends the scan early.
+TEST(Girth, MatchesBruteForceAtEveryLimit) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Vertex n = 6 + static_cast<Vertex>(rng.below(30));
+    const std::int64_t m = static_cast<std::int64_t>(
+        rng.below(static_cast<std::uint64_t>(2 * n)));
+    expect_girth_matches_brute_force(gnm(n, m, rng),
+                                     "gnm trial " + std::to_string(trial));
+  }
+  expect_girth_matches_brute_force(random_tree(30, rng), "tree");
+  expect_girth_matches_brute_force(grid(5, 6), "grid");
+  expect_girth_matches_brute_force(hex_patch(3, 4), "hex");
+  expect_girth_matches_brute_force(petersen(), "petersen");
+  expect_girth_matches_brute_force(heawood(), "heawood");
+  expect_girth_matches_brute_force(mcgee(), "mcgee");
+  expect_girth_matches_brute_force(cycle(9), "cycle9");
 }
 
 TEST(Iso, CycleVsPath) {

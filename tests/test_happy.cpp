@@ -27,14 +27,15 @@ HappyAnalysis happy_bruteforce(const Graph& g, Vertex d, Vertex rho) {
     else
       ++out.num_poor;
   }
+  BfsScratch scratch(n);
   for (Vertex v = 0; v < n; ++v) {
     if (!out.rich[static_cast<std::size_t>(v)]) continue;
-    const auto b = ball_within(g, out.rich, v, rho);
+    const auto b = ball_within(g, out.rich, v, rho, scratch);
     bool happy = false;
     for (Vertex w : b)
       if (g.degree(w) <= d - 1) happy = true;
     if (!happy) {
-      const InducedSubgraph sub = induce(g, b);
+      const InducedSubgraph sub = induce(g, b, scratch);
       happy = !is_gallai_tree(sub.graph);
     }
     if (happy) {

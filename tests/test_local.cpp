@@ -25,8 +25,9 @@ TEST(Engine, FloodEqualsBallOracle) {
       RoundLedger ledger;
       const auto flooded = flood_balls_engine(g, r, &ledger);
       EXPECT_EQ(ledger.total(), r);
+      BfsScratch scratch(g.num_vertices());
       for (Vertex v = 0; v < g.num_vertices(); ++v) {
-        auto oracle = ball(g, v, r);
+        auto oracle = ball(g, v, r, scratch);
         std::sort(oracle.begin(), oracle.end());
         EXPECT_EQ(flooded[static_cast<std::size_t>(v)], oracle)
             << "v=" << v << " r=" << r;

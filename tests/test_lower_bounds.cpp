@@ -98,7 +98,8 @@ TEST(GadgetTriangleFree, GrotzschContrast) {
 
 TEST(Indist, ExtractBallRoots) {
   const Graph g = grid(7, 7);
-  const RootedBall b = extract_ball(g, lattice_id(3, 3, 7), 2);
+  BfsScratch scratch(g.num_vertices());
+  const RootedBall b = extract_ball(g, lattice_id(3, 3, 7), 2, scratch);
   EXPECT_EQ(b.graph.num_vertices(), 13);  // diamond of radius 2
   EXPECT_EQ(b.graph.degree(b.root), 4);
 }
