@@ -9,17 +9,43 @@ namespace scol {
 Graph random_stacked_triangulation(Vertex n, Rng& rng) {
   SCOL_REQUIRE(n >= 3);
   std::vector<Edge> edges{{0, 1}, {1, 2}, {0, 2}};
-  std::vector<std::array<Vertex, 3>> faces{{0, 1, 2}, {0, 1, 2}};
+  // Faces live in append-only slots: inserting into a face retires its
+  // slot and appends three. An order-statistic Fenwick tree over one
+  // alive bit per slot finds the f-th live face in O(log n), so the draw
+  // picks the same face a list with erase-at-f would.
+  const std::size_t slots = 2 + 3 * static_cast<std::size_t>(n - 3);
+  std::vector<std::array<Vertex, 3>> faces;
+  faces.reserve(slots);
+  std::vector<std::int32_t> alive(slots + 1, 0);  // 1-based Fenwick tree
+  const auto add_face = [&](const std::array<Vertex, 3>& tri) {
+    for (std::size_t i = faces.size() + 1; i <= slots; i += i & (~i + 1))
+      ++alive[i];
+    faces.push_back(tri);
+  };
+  std::size_t top = 1;
+  while (top * 2 <= slots) top *= 2;
   // Two copies of the initial triangle: inserting into either side keeps
   // the outer face available, matching a planar embedding of K_3.
+  add_face({0, 1, 2});
+  add_face({0, 1, 2});
+  std::size_t live = 2;
   for (Vertex v = 3; v < n; ++v) {
-    const std::size_t f = rng.below(faces.size());
-    const std::array<Vertex, 3> tri = faces[f];
-    faces.erase(faces.begin() + static_cast<std::ptrdiff_t>(f));
+    // Descend to the slot holding the (f+1)-th alive bit.
+    std::size_t rank = rng.below(live) + 1;
+    std::size_t pos = 0;
+    for (std::size_t step = top; step > 0; step /= 2)
+      if (pos + step <= slots &&
+          static_cast<std::size_t>(alive[pos + step]) < rank) {
+        pos += step;
+        rank -= static_cast<std::size_t>(alive[pos]);
+      }
+    for (std::size_t i = pos + 1; i <= slots; i += i & (~i + 1)) --alive[i];
+    const std::array<Vertex, 3> tri = faces[pos];
     for (Vertex corner : tri) edges.emplace_back(corner, v);
-    faces.push_back({tri[0], tri[1], v});
-    faces.push_back({tri[1], tri[2], v});
-    faces.push_back({tri[0], tri[2], v});
+    add_face({tri[0], tri[1], v});
+    add_face({tri[1], tri[2], v});
+    add_face({tri[0], tri[2], v});
+    live += 2;
   }
   return Graph::from_edges(n, edges);
 }

@@ -64,20 +64,40 @@ Graph random_regular(Vertex n, Vertex d, Rng& rng) {
   // Deterministic d-regular circulant base, randomized by double-edge
   // swaps (which preserve degrees and simplicity). Unlike the plain
   // configuration model this never rejects, even for larger d.
-  std::set<Edge> edges;
+  std::vector<Edge> e;
   for (Vertex s = 1; s <= d / 2; ++s)
     for (Vertex i = 0; i < n; ++i) {
       const Vertex j = (i + s) % n;
-      edges.insert({std::min(i, j), std::max(i, j)});
+      e.emplace_back(std::min(i, j), std::max(i, j));
     }
   if (d % 2 == 1) {
     for (Vertex i = 0; i < n / 2; ++i)
-      edges.insert({i, static_cast<Vertex>(i + n / 2)});
+      e.emplace_back(i, static_cast<Vertex>(i + n / 2));
   }
-  std::vector<Edge> e(edges.begin(), edges.end());
+  // The swaps draw edges by index, so they start from the sorted list.
+  std::sort(e.begin(), e.end());
+  e.erase(std::unique(e.begin(), e.end()), e.end());
   SCOL_CHECK(static_cast<std::int64_t>(e.size()) ==
                  static_cast<std::int64_t>(n) * d / 2,
              + "circulant base must be d-regular");
+  // Every vertex keeps exactly d neighbours, so the membership tests scan
+  // one d-entry row of a flat n x d table.
+  std::vector<Vertex> adj(static_cast<std::size_t>(n) *
+                          static_cast<std::size_t>(d));
+  std::vector<Vertex> fill(static_cast<std::size_t>(n), 0);
+  const auto row = [&](Vertex u) {
+    return adj.begin() + static_cast<std::ptrdiff_t>(u) * d;
+  };
+  for (const auto& [u, v] : e) {
+    row(u)[fill[static_cast<std::size_t>(u)]++] = v;
+    row(v)[fill[static_cast<std::size_t>(v)]++] = u;
+  }
+  const auto adjacent = [&](Vertex u, Vertex v) {
+    return std::find(row(u), row(u) + d, v) != row(u) + d;
+  };
+  const auto rewire = [&](Vertex u, Vertex from, Vertex to) {
+    *std::find(row(u), row(u) + d, from) = to;
+  };
   // Double-edge swaps: (a,b),(c,x) -> (a,c),(b,x) when the result stays
   // simple and loop-free.
   const std::size_t swaps = 20 * e.size();
@@ -89,17 +109,16 @@ Graph random_regular(Vertex n, Vertex d, Rng& rng) {
     auto [c, x] = e[j];
     if (rng.chance(0.5)) std::swap(c, x);
     if (a == c || a == x || b == c || b == x) continue;
-    const Edge e1{std::min(a, c), std::max(a, c)};
-    const Edge e2{std::min(b, x), std::max(b, x)};
-    if (edges.count(e1) || edges.count(e2)) continue;
-    edges.erase(e[i]);
-    edges.erase(e[j]);
-    edges.insert(e1);
-    edges.insert(e2);
-    e[i] = e1;
-    e[j] = e2;
+    if (adjacent(a, c) || adjacent(b, x)) continue;
+    rewire(a, b, c);
+    rewire(b, a, x);
+    rewire(c, x, a);
+    rewire(x, c, b);
+    e[i] = {std::min(a, c), std::max(a, c)};
+    e[j] = {std::min(b, x), std::max(b, x)};
   }
-  return Graph::from_edges(n, {edges.begin(), edges.end()});
+  std::sort(e.begin(), e.end());
+  return Graph::from_edges(n, e);
 }
 
 Graph random_gallai_tree(Vertex blocks, Vertex max_clique, Rng& rng) {

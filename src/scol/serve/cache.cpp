@@ -1,5 +1,7 @@
 #include "scol/serve/cache.h"
 
+#include <chrono>
+
 #include "scol/api/scenario.h"
 #include "scol/util/rng.h"
 
@@ -28,17 +30,16 @@ std::shared_ptr<GraphEntry> GraphStore::get_scenario(const std::string& spec,
   // File scenarios ignore their Rng: every seed is the same parse, so
   // normalizing the key to seed 0 makes a multi-seed sweep pay the
   // (dominant) parse cost once.
-  const Key key{spec, is_file_spec(spec) ? 0 : seed};
+  const bool file = is_file_spec(spec);
+  const Key key{spec, file ? 0 : seed};
 
   std::shared_ptr<GraphEntry> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
+    if (auto* found = entries_.find(key)) {
       ++stats_.hits;
       if (cache_hit != nullptr) *cache_hit = true;
-      touch(key);
-      entry = it->second;
+      entry = *found;
     } else {
       ++stats_.misses;
       if (cache_hit != nullptr) *cache_hit = false;
@@ -48,14 +49,13 @@ std::shared_ptr<GraphEntry> GraphStore::get_scenario(const std::string& spec,
       // cache hits that raced the builder) rendezvouses on that flag
       // before reading the entry.
       entry = std::make_shared<GraphEntry>();
-      entries_.emplace(key, entry);
-      lru_.push_front(key);
-      lru_pos_[key] = lru_.begin();
+      entries_.insert(key, entry);
       stats_.entries = entries_.size();
     }
   }
 
   std::call_once(entry->build_once_, [&] {
+    const auto t0 = std::chrono::steady_clock::now();
     try {
       Rng rng(seed);
       auto graph = std::make_shared<const Graph>(build_scenario(spec, rng));
@@ -64,17 +64,45 @@ std::shared_ptr<GraphEntry> GraphStore::get_scenario(const std::string& spec,
     } catch (const std::exception& e) {
       entry->error_ = e.what();
     }
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
     std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.builds;
+    stats_.build_ms += ms;
     // Index by content only if this entry still owns its key (a tiny
     // capacity can evict an entry while it builds; the evicted build
     // stays usable for its requesters, just unindexed).
-    auto it = entries_.find(key);
-    if (entry->graph_ != nullptr && it != entries_.end() &&
-        it->second == entry)
-      by_digest_.emplace(entry->digest_, entry);
-    evict_if_needed();
+    const auto* owner = entries_.peek(key);
+    if (entry->graph_ != nullptr && owner != nullptr && *owner == entry)
+      entry->indexed_ = by_digest_.emplace(entry->digest_, entry).second;
+    entries_.evict_to(capacity_, [&](std::shared_ptr<GraphEntry>& victim) {
+      if (victim->indexed_) by_digest_.erase(victim->digest_);
+      ++stats_.evictions;
+    });
+    stats_.entries = entries_.size();
   });
+
+  // Remember (or refresh) the identity of every generator graph served,
+  // so it outlives the CSR's eviction.
+  if (!file && entry->graph_ != nullptr) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (identities_.find(key) == nullptr) {
+      identities_.insert(
+          key, GraphIdentity{entry->digest_, entry->graph_->max_degree()});
+      identities_.evict_to(identity_capacity_, [](GraphIdentity&) {});
+      stats_.identities = identities_.size();
+    }
+  }
   return entry;
+}
+
+std::optional<GraphIdentity> GraphStore::identity(const std::string& spec,
+                                                  std::uint64_t seed) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const GraphIdentity* known = identities_.find(Key{spec, seed});
+  if (known == nullptr) return std::nullopt;
+  return *known;
 }
 
 std::shared_ptr<GraphEntry> GraphStore::find_digest(const Digest& digest) {
@@ -88,68 +116,30 @@ std::shared_ptr<GraphEntry> GraphStore::find_digest(const Digest& digest) {
   return it->second;
 }
 
-CacheStats GraphStore::stats() const {
+GraphStoreStats GraphStore::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-void GraphStore::touch(const Key& key) {
-  auto pos = lru_pos_.find(key);
-  if (pos == lru_pos_.end()) return;
-  lru_.splice(lru_.begin(), lru_, pos->second);
-}
-
-void GraphStore::evict_if_needed() {
-  if (capacity_ == 0) return;
-  while (entries_.size() > capacity_ && !lru_.empty()) {
-    const Key victim = lru_.back();
-    lru_.pop_back();
-    lru_pos_.erase(victim);
-    auto it = entries_.find(victim);
-    if (it != entries_.end()) {
-      if (it->second->graph_ != nullptr) {
-        auto digest_it = by_digest_.find(it->second->digest_);
-        if (digest_it != by_digest_.end() && digest_it->second == it->second)
-          by_digest_.erase(digest_it);
-      }
-      entries_.erase(it);
-    }
-    ++stats_.evictions;
-    stats_.entries = entries_.size();
-  }
 }
 
 std::shared_ptr<const std::string> ReportCache::lookup(
     const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  const auto* found = entries_.find(key);
+  if (found == nullptr) {
     ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;
-  auto pos = lru_pos_.find(key);
-  if (pos != lru_pos_.end())
-    lru_.splice(lru_.begin(), lru_, pos->second);
-  return it->second;
+  return *found;
 }
 
 void ReportCache::insert(const std::string& key, std::string report) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (entries_.find(key) != entries_.end()) return;  // first writer wins
-  entries_.emplace(key,
-                   std::make_shared<const std::string>(std::move(report)));
-  lru_.push_front(key);
-  lru_pos_[key] = lru_.begin();
-  if (capacity_ != 0) {
-    while (entries_.size() > capacity_ && !lru_.empty()) {
-      const std::string victim = lru_.back();
-      lru_.pop_back();
-      lru_pos_.erase(victim);
-      entries_.erase(victim);
-      ++stats_.evictions;
-    }
-  }
+  // First writer wins.
+  if (!entries_.insert(
+          key, std::make_shared<const std::string>(std::move(report))))
+    return;
+  entries_.evict_to(capacity_, [&](auto&) { ++stats_.evictions; });
   stats_.entries = entries_.size();
 }
 

@@ -7,17 +7,25 @@
 // scenarios, generalized so one store serves many connections (and the
 // campaign runner itself — it is now just another client of this cache).
 //
+// Next to the resident graphs the store keeps a small identity table:
+// (spec, seed) → (digest, max degree) for every generator spec it has
+// built. A report-cache key needs only those two values, so the server
+// answers a report hit from the identity without touching a graph, and an
+// identity outlives the eviction of its CSR. Only generator specs get
+// one: they are pure functions of (spec, seed), while a file can change
+// between requests.
+//
 // ReportCache memoizes finished report JSON verbatim: the campaign
 // runner's determinism contract (same (graph digest, algorithm, seed,
 // canonical params) → byte-identical report) is what makes returning
 // cached bytes sound, so the cache stores the exact serialized string and
 // hands it back untouched.
 //
-// Both caches are bounded LRU (capacity 0 = unbounded), safe for
-// concurrent use, and export hit/miss/eviction counters for the server's
-// /stats endpoint. Graph builds happen outside the store lock under a
-// per-entry once-flag, so one connection's multi-MB parse never blocks
-// another connection's cache hit.
+// All three maps are bounded LRU (capacity 0 = unbounded), safe for
+// concurrent use, and export counters for the server's stats request.
+// Graph builds happen outside the store lock under a per-entry once-flag,
+// so one connection's multi-MB parse never blocks another connection's
+// cache hit, and two requests for one graph build it once.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +35,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "scol/graph/graph.h"
 #include "scol/io/probe.h"
@@ -41,6 +50,67 @@ struct CacheStats {
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
   std::uint64_t entries = 0;  ///< current population
+};
+
+/// GraphStore's counters: the cache's, plus the builds behind its misses
+/// and the size of the identity table.
+struct GraphStoreStats : CacheStats {
+  std::uint64_t builds = 0;      ///< scenario builds run (ok or failed)
+  double build_ms = 0.0;         ///< their total wall time
+  std::uint64_t identities = 0;  ///< remembered (spec, seed) identities
+};
+
+/// What a report key needs to know about a generator spec's graph.
+struct GraphIdentity {
+  Digest digest;
+  Vertex max_degree = 0;
+};
+
+/// A map that forgets its least recently used entries. Not synchronized:
+/// its owner holds a lock around every call.
+template <typename K, typename V>
+class LruMap {
+ public:
+  /// The value under `key`, now the most recently used, or nullptr.
+  V* find(const K& key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) return nullptr;
+    order_.splice(order_.begin(), order_, it->second);
+    return &it->second->second;
+  }
+
+  /// The value under `key` without changing the recency order.
+  const V* peek(const K& key) const {
+    auto it = index_.find(key);
+    return it == index_.end() ? nullptr : &it->second->second;
+  }
+
+  /// Inserts `value` as the most recently used entry; returns false and
+  /// changes nothing when `key` is already present.
+  bool insert(const K& key, V value) {
+    if (index_.count(key) != 0) return false;
+    order_.emplace_front(key, std::move(value));
+    index_.emplace(key, order_.begin());
+    return true;
+  }
+
+  /// Drops least recently used entries until at most `capacity` remain
+  /// (0 = unbounded), handing each victim to `on_evict`.
+  template <typename OnEvict>
+  void evict_to(std::size_t capacity, OnEvict&& on_evict) {
+    if (capacity == 0) return;
+    while (index_.size() > capacity) {
+      on_evict(order_.back().second);
+      index_.erase(order_.back().first);
+      order_.pop_back();
+    }
+  }
+
+  std::size_t size() const { return index_.size(); }
+
+ private:
+  std::list<std::pair<K, V>> order_;  // front = most recently used
+  std::map<K, typename std::list<std::pair<K, V>>::iterator> index_;
 };
 
 /// One cached graph: the digest-addressed CSR, a lazily probed structure
@@ -65,6 +135,7 @@ class GraphEntry {
   Digest digest_;
   std::shared_ptr<const Graph> graph_;
   std::string error_;
+  bool indexed_ = false;  // owns its digest in by_digest_; guarded by mu_
   std::once_flag build_once_;
   std::once_flag probe_once_;
   std::optional<GraphProbe> probe_;
@@ -72,38 +143,44 @@ class GraphEntry {
 
 class GraphStore {
  public:
-  /// capacity = maximum resident graphs (0 = unbounded). Evicted entries
+  /// capacity = maximum resident graphs, identity_capacity = maximum
+  /// remembered identities (0 = unbounded for either). Evicted entries
   /// stay alive for whoever still holds their shared_ptr.
-  explicit GraphStore(std::size_t capacity = 0) : capacity_(capacity) {}
+  explicit GraphStore(std::size_t capacity = 0,
+                      std::size_t identity_capacity = 0)
+      : capacity_(capacity), identity_capacity_(identity_capacity) {}
 
   /// The graph of `spec` under `seed`, built on first request. File-backed
   /// specs ignore their seed (every seed is the same parse), mirroring
   /// campaign.cpp. Build failures are cached too — a bad path errors once,
   /// not once per request. `cache_hit`, when given, reports whether this
-  /// call was answered from the cache.
+  /// call found the entry already in the cache (so it did not build).
   std::shared_ptr<GraphEntry> get_scenario(const std::string& spec,
                                            std::uint64_t seed,
                                            bool* cache_hit = nullptr);
+
+  /// The remembered identity of a generator spec's graph under `seed`,
+  /// resident or not; nullopt for file specs and for graphs this store
+  /// has not built (or has forgotten). Counts in no hit/miss counter.
+  std::optional<GraphIdentity> identity(const std::string& spec,
+                                        std::uint64_t seed);
 
   /// Content-addressed lookup: the resident entry with this digest, or
   /// nullptr (the store never rebuilds from a digest — it cannot).
   std::shared_ptr<GraphEntry> find_digest(const Digest& digest);
 
-  CacheStats stats() const;
+  GraphStoreStats stats() const;
 
  private:
   using Key = std::pair<std::string, std::uint64_t>;
 
-  void touch(const Key& key);  // callers hold mu_
-  void evict_if_needed();      // callers hold mu_
-
   const std::size_t capacity_;
+  const std::size_t identity_capacity_;
   mutable std::mutex mu_;
-  std::map<Key, std::shared_ptr<GraphEntry>> entries_;
+  LruMap<Key, std::shared_ptr<GraphEntry>> entries_;
   std::map<Digest, std::shared_ptr<GraphEntry>> by_digest_;
-  std::list<Key> lru_;  // front = most recently used
-  std::map<Key, std::list<Key>::iterator> lru_pos_;
-  CacheStats stats_;
+  LruMap<Key, GraphIdentity> identities_;
+  GraphStoreStats stats_;
 };
 
 /// LRU map from a canonical request key to the exact serialized report —
@@ -124,9 +201,7 @@ class ReportCache {
  private:
   const std::size_t capacity_;
   mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<const std::string>> entries_;
-  std::list<std::string> lru_;
-  std::map<std::string, std::list<std::string>::iterator> lru_pos_;
+  LruMap<std::string, std::shared_ptr<const std::string>> entries_;
   CacheStats stats_;
 };
 

@@ -62,6 +62,33 @@ Json probe_json(const GraphProbe& p, const Digest& digest, bool graph_hit) {
   return out;
 }
 
+// The canonical report-cache key. It reads the graph only through its
+// identity (digest, and max degree for k_eff), so a generator spec's key
+// is known without its graph. Keyed on RESOLVED values (k_eff,
+// palette_eff, normalized lists mode): an explicit `k` equal to the
+// auto-k, or a don't-care lists mode on a no-lists algorithm, lands on
+// the same entry — the report echoes resolved values, so sharing is
+// byte-safe.
+std::string report_key(const OneShotSpec& spec, const Digest& digest,
+                       Vertex max_degree) {
+  const AlgorithmInfo& info = AlgorithmRegistry::instance().at(spec.algorithm);
+  const Vertex k_eff = effective_k(info, spec.k, max_degree, spec.params);
+  std::string lists = "-";
+  Color palette_eff = -1;
+  if (info.caps.needs_lists) {
+    lists = spec.lists_mode;
+    if (spec.lists_mode == "random")
+      palette_eff =
+          spec.palette > 0 ? spec.palette : static_cast<Color>(4 * k_eff);
+  }
+  return digest.hex() + '|' + spec.scenario + '|' + spec.algorithm + '|' +
+         std::to_string(spec.seed) + '|' + std::to_string(k_eff) + '|' +
+         lists + '|' + std::to_string(palette_eff) + '|' +
+         std::to_string(spec.round_budget) + '|' +
+         (spec.with_coloring ? "c" : "-") + '|' +
+         canonical_params(spec.params);
+}
+
 Json cache_stats_json(const CacheStats& s) {
   Json out = Json::object();
   out.set("hits", Json::integer(static_cast<std::int64_t>(s.hits)));
@@ -81,10 +108,12 @@ struct Server::Pending {
   std::string error;  ///< parse/resolve/solve failure (→ error envelope)
   Clock::time_point arrival;
 
+  /// The graph; stays null for a report hit answered from an identity.
   std::shared_ptr<GraphEntry> entry;
-  bool graph_hit = false;
+  Digest digest;
+  bool graph_hit = true;  ///< false only when this request built its graph
   bool report_hit = false;
-  std::string key;
+  std::string key;  ///< set when the report cache is consulted (once)
   std::shared_ptr<const std::string> report;
   double solve_ms = 0.0;
   std::string response;
@@ -185,53 +214,79 @@ void Server::flush(std::vector<Pending>& batch, std::ostream& out) {
   std::lock_guard<std::mutex> solve_lock(solve_mu_);
   const auto start = Clock::now();
 
-  // Resolve graphs and canonical keys; answer report-cache hits.
+  const Executor& exec = resolve_executor(pool_.get());
+  const auto look_up = [&](Pending& p, const Digest& digest,
+                           Vertex max_degree) {
+    p.digest = digest;
+    p.key = report_key(p.req.spec, digest, max_degree);
+    p.report = reports_.lookup(p.key);
+    p.report_hit = p.report != nullptr;
+  };
+
+  // Identity first: a generator spec whose graph this store has built
+  // has a known key, so its report hit is answered here, with no graph.
+  // Everything else needs its graph; requests naming one (spec, seed)
+  // share one resolution.
+  std::map<std::pair<std::string, std::uint64_t>, std::vector<std::size_t>>
+      sources;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    Pending& p = batch[i];
+    if (!p.error.empty() || p.req.digest.has_value()) continue;
+    const OneShotSpec& spec = p.req.spec;
+    try {
+      if (const auto id = store_.identity(spec.scenario, spec.seed)) {
+        look_up(p, id->digest, id->max_degree);
+        if (p.report_hit) continue;
+      }
+    } catch (const std::exception& e) {
+      p.error = e.what();
+      continue;
+    }
+    sources[{spec.scenario, spec.seed}].push_back(i);
+  }
+
+  // Resolve those graphs on the pool: cold ones build in parallel, and
+  // the entry's once-flag makes concurrent requests for one graph (two
+  // seeds of one file) build it once.
+  std::vector<decltype(sources)::iterator> to_resolve;
+  for (auto it = sources.begin(); it != sources.end(); ++it)
+    to_resolve.push_back(it);
+  parallel_for_index(exec, to_resolve.size(), [&](std::size_t si) {
+    const auto& [source, idxs] = *to_resolve[si];
+    std::shared_ptr<GraphEntry> entry;
+    bool hit = false;
+    std::string err;
+    try {
+      entry = store_.get_scenario(source.first, source.second, &hit);
+    } catch (const std::exception& e) {
+      err = e.what();
+    }
+    for (const std::size_t idx : idxs) {
+      Pending& p = batch[idx];
+      p.entry = entry;
+      p.graph_hit = hit || idx != idxs.front();
+      p.error = err;
+    }
+  });
+
+  // Keys and report lookups for the requests that now hold a graph.
+  // Content-addressed requests resolve here, after the builds, so they
+  // can name a graph an earlier request of this batch built.
   for (auto& p : batch) {
-    if (!p.error.empty()) continue;
-    OneShotSpec& spec = p.req.spec;
+    if (!p.error.empty() || p.report_hit) continue;
     try {
       if (p.req.digest.has_value()) {
         p.entry = store_.find_digest(*p.req.digest);
         SCOL_REQUIRE(p.entry != nullptr,
                      + ("no resident graph with hash '" +
                         p.req.digest->hex() + "'"));
-        p.graph_hit = true;
         // The report echoes a scenario spec; for content-addressed
         // requests that echo is the digest itself.
-        spec.scenario = "hash:" + p.req.digest->hex();
-      } else {
-        p.entry = store_.get_scenario(spec.scenario, spec.seed,
-                                      &p.graph_hit);
+        p.req.spec.scenario = "hash:" + p.req.digest->hex();
       }
       SCOL_REQUIRE(p.entry->graph() != nullptr, + p.entry->error());
-
-      const AlgorithmInfo& info =
-          AlgorithmRegistry::instance().at(spec.algorithm);
-      const Graph& g = *p.entry->graph();
-      // Key on RESOLVED values (k_eff, palette_eff, normalized lists
-      // mode): an explicit `k` equal to the auto-k, or a don't-care
-      // lists mode on a no-lists algorithm, lands on the same entry —
-      // the report echoes resolved values, so sharing is byte-safe.
-      const Vertex k_eff =
-          effective_k(info, spec.k, g.max_degree(), spec.params);
-      std::string lists = "-";
-      Color palette_eff = -1;
-      if (info.caps.needs_lists) {
-        lists = spec.lists_mode;
-        if (spec.lists_mode == "random")
-          palette_eff = spec.palette > 0
-                            ? spec.palette
-                            : static_cast<Color>(4 * k_eff);
-      }
-      p.key = p.entry->digest().hex() + '|' + spec.scenario + '|' +
-              spec.algorithm + '|' + std::to_string(spec.seed) + '|' +
-              std::to_string(k_eff) + '|' + lists + '|' +
-              std::to_string(palette_eff) + '|' +
-              std::to_string(spec.round_budget) + '|' +
-              (spec.with_coloring ? "c" : "-") + '|' +
-              canonical_params(spec.params);
-      p.report = reports_.lookup(p.key);
-      p.report_hit = p.report != nullptr;
+      if (p.key.empty())
+        look_up(p, p.entry->digest(), p.entry->graph()->max_degree());
     } catch (const std::exception& e) {
       p.error = e.what();
     }
@@ -250,7 +305,6 @@ void Server::flush(std::vector<Pending>& batch, std::ostream& out) {
   for (auto it = groups.begin(); it != groups.end(); ++it)
     work.push_back(it);
 
-  const Executor& exec = resolve_executor(pool_.get());
   parallel_for_index(exec, work.size(), [&](std::size_t wi) {
     const std::vector<std::size_t>& idxs = work[wi]->second;
     Pending& leader = batch[idxs.front()];
@@ -292,7 +346,7 @@ void Server::flush(std::vector<Pending>& batch, std::ostream& out) {
       p.response = error_envelope(p.req.id, p.error);
     } else {
       p.response = solve_envelope(p.req.id, p.graph_hit, p.report_hit,
-                                  p.entry->digest(), queue_ms, p.solve_ms,
+                                  p.digest, queue_ms, p.solve_ms,
                                   batch.size(), *p.report);
     }
   }
@@ -326,7 +380,14 @@ void Server::release_arena(std::shared_ptr<Arena> arena) {
 Json Server::stats_json() const {
   Json out = Json::object();
   out.set("version", Json::str(kVersion));
-  out.set("graphs", cache_stats_json(store_.stats()));
+  const GraphStoreStats graphs = store_.stats();
+  Json graphs_json = cache_stats_json(graphs);
+  graphs_json.set("builds",
+                  Json::integer(static_cast<std::int64_t>(graphs.builds)));
+  graphs_json.set("build_ms", Json::real(graphs.build_ms));
+  graphs_json.set("identities", Json::integer(static_cast<std::int64_t>(
+                                    graphs.identities)));
+  out.set("graphs", std::move(graphs_json));
   out.set("reports", cache_stats_json(reports_.stats()));
   ServerCounters c;
   {

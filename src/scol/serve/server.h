@@ -9,12 +9,21 @@
 // Request flow per batch:
 //
 //   read lines until the input would block (or max_batch is reached)
-//     → resolve each request's graph through the GraphStore
-//     → canonical cache key; report-cache hits answer immediately
+//     → identity first: a generator spec the graph store has built has a
+//       remembered (digest, max degree), which is all a canonical cache
+//       key needs; report-cache hits answer here, touching no graph
+//     → resolve the graphs of everything else on the pool (one
+//       resolution per (spec, seed); cold graphs build in parallel),
+//       then key and look up the requests that had no identity; hash
+//       requests find their resident graph here
 //     → group remaining requests by key (same graph+algo+seed+params
 //       asked twice in one batch solves once)
 //     → solve unique keys on the pool, one warm per-worker arena each
 //     → emit responses in arrival order.
+//
+// Each request consults the report cache exactly once. An envelope's
+// cache.graph verdict reads "miss" only for the request that built its
+// graph; a report hit answered from an identity reads "hit".
 //
 // Batching is opportunistic, not time-based: a lone request never waits
 // for company (in_avail() == 0 flushes immediately), while a pipelined

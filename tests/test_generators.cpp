@@ -1,8 +1,9 @@
 // Generator invariants: sizes, degrees, girth, planarity, regularity,
-// bipartiteness, Klein-bottle structure — and, for the web-scale
-// families (gen/scale.h), edge-count exactness, degree-distribution
-// shape, per-seed determinism, and campaign JSONL bit-identity across
-// job counts.
+// bipartiteness, Klein-bottle structure, pinned content digests for the
+// random planar and regular families — and, for the web-scale families
+// (gen/scale.h), edge-count exactness, degree-distribution shape,
+// per-seed determinism, and campaign JSONL bit-identity across job
+// counts.
 #include <cmath>
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "scol/api/campaign.h"
+#include "scol/api/scenario.h"
 #include "scol/flow/density.h"
 #include "scol/gen/circulant.h"
 #include "scol/gen/lattice.h"
@@ -20,6 +22,7 @@
 #include "scol/graph/components.h"
 #include "scol/graph/girth.h"
 #include "scol/planarity/planarity.h"
+#include "scol/serve/hash.h"
 #include "scol/util/executor.h"
 
 namespace scol {
@@ -90,6 +93,31 @@ TEST(Gen, RandomRegularIsRegular) {
     const Graph g = random_regular(50, d, rng);
     for (Vertex v = 0; v < 50; ++v) EXPECT_EQ(g.degree(v), d);
     EXPECT_EQ(mad_ceiling(g), d);  // d-regular => mad = d
+  }
+}
+
+// Content digests of generator output, recorded before the planar
+// generator moved to a Fenwick tree and the regular one to adjacency
+// rows: both changes must leave every edge list as it was.
+TEST(Gen, RandomPlanarAndRegularDigestsArePinned) {
+  const struct {
+    const char* spec;
+    std::uint64_t seed;
+    const char* digest;
+  } pinned[] = {
+      {"planar:n=400", 1, "78431733f9def109b8bc1bde1777f70f"},
+      {"planar:n=5000", 1, "44fe3e27b1a640bbaab279a582fb6b2c"},
+      {"planar:n=100000", 1, "4b9464cf3e108f2c76306c202ecc62ff"},
+      {"regular:n=4096", 1, "89f03f45a674f7e0b2cdc1e348caa6a9"},
+      {"regular:n=4096", 2, "4ea3d03774848510f94a5f7d3a73dc05"},
+      {"regular:n=4096", 3, "190fe0f7c5c8a2eea7af2229cd1c1745"},
+      {"regular:n=32,d=4", 1, "f6080722f3b796682b089dd5de4877ed"},
+      {"regular:n=32,d=3", 1, "dd876edc52103477dd6efbfb2d0cdccd"},
+  };
+  for (const auto& p : pinned) {
+    Rng rng(p.seed);
+    EXPECT_EQ(hash_graph(build_scenario(p.spec, rng)).hex(), p.digest)
+        << p.spec << " seed " << p.seed;
   }
 }
 

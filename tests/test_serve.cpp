@@ -1,10 +1,11 @@
 // The serving layer: content digests and canonical cache keys
 // (permutation invariance, no cross-type collisions), GraphStore /
 // ReportCache semantics (seed normalization, digest addressing, LRU
-// eviction, error caching), the NDJSON protocol (strict parsing, error
-// recovery, ordering), Zipf sampler sanity, and the end-to-end contract
-// that a served report is byte-identical to the library's one-shot path
-// under any worker count.
+// eviction, error caching, the bounded identity table), the NDJSON
+// protocol (strict parsing, error recovery, ordering), Zipf sampler
+// sanity, report hits that never build a graph, and the end-to-end
+// contract that a served report is byte-identical to the library's
+// one-shot path under any worker count.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -158,6 +159,41 @@ TEST(GraphStore, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(store.find_digest(hash_graph(build("heawood"))), nullptr);
   // The evicted entry's shared_ptr keeps the graph alive for holders.
   EXPECT_NE(a->graph(), nullptr);
+}
+
+TEST(GraphStore, IdentitiesOutliveEvictionWithinTheirBound) {
+  GraphStore store(/*capacity=*/1, /*identity_capacity=*/2);
+  const auto a = store.get_scenario("regular:n=32,d=4", 1);
+  store.get_scenario("regular:n=32,d=4", 2);
+  // a's CSR is evicted, its identity is not.
+  EXPECT_EQ(store.find_digest(a->digest()), nullptr);
+  const auto id = store.identity("regular:n=32,d=4", 1);
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(id->digest, a->digest());
+  EXPECT_EQ(id->max_degree, 4);
+  // A third identity pushes out the least recently used one (seed 2:
+  // the lookup above refreshed seed 1).
+  store.get_scenario("regular:n=32,d=4", 3);
+  EXPECT_EQ(store.stats().identities, 2u);
+  EXPECT_TRUE(store.identity("regular:n=32,d=4", 1).has_value());
+  EXPECT_FALSE(store.identity("regular:n=32,d=4", 2).has_value());
+  EXPECT_TRUE(store.identity("regular:n=32,d=4", 3).has_value());
+  for (std::uint64_t seed = 4; seed <= 9; ++seed)
+    store.get_scenario("petersen", seed);
+  EXPECT_EQ(store.stats().identities, 2u);
+
+  // A file can change between requests: it never gets an identity, and
+  // failed builds do not either.
+  const std::string file = std::string("file:path=") + SCOL_REPO_DIR +
+                           "/examples/graphs/petersen.mtx";
+  store.get_scenario(file, 1);
+  EXPECT_FALSE(store.identity(file, 1).has_value());
+  EXPECT_FALSE(store.identity(file, 0).has_value());
+  store.get_scenario("regular:n=5,d=3", 1);  // n*d odd: build fails
+  EXPECT_FALSE(store.identity("regular:n=5,d=3", 1).has_value());
+  const GraphStoreStats stats = store.stats();
+  EXPECT_EQ(stats.builds, 11u);  // every miss above built once
+  EXPECT_GE(stats.build_ms, 0.0);
 }
 
 TEST(ReportCache, FirstWriterWinsAndEvicts) {
@@ -359,6 +395,126 @@ TEST(Server, EquivalentSpecsShareOneGraphDigest) {
   EXPECT_EQ(a.get("cache")->get("hash")->as_str(),
             b.get("cache")->get("hash")->as_str());
   EXPECT_EQ(b.get("cache")->get("report")->as_str(), "miss");
+}
+
+TEST(Server, ReportHitAfterEvictionBuildsNoGraph) {
+  // One resident graph, one request per batch: A, B, A. B evicts A's
+  // graph, yet the second A is a report hit answered from A's identity.
+  ServerOptions tight;
+  tight.graph_cache_capacity = 1;
+  tight.max_batch = 1;
+  const std::string a = R"("algo":"greedy","gen":"regular:n=64,d=4","seed":3)";
+  const std::string b = R"("algo":"greedy","gen":"planar:n=80","seed":3)";
+  const auto lines = serve({"{\"id\":1," + a + "}", "{\"id\":2," + b + "}",
+                            "{\"id\":3," + a + "}", R"({"id":4,"op":"stats"})"},
+                           tight);
+  ASSERT_EQ(lines.size(), 4u);
+  const Json first = Json::parse(lines[0]);
+  const Json again = Json::parse(lines[2]);
+  EXPECT_EQ(first.get("cache")->get("graph")->as_str(), "miss");
+  EXPECT_EQ(again.get("cache")->get("report")->as_str(), "hit");
+  EXPECT_EQ(again.get("cache")->get("graph")->as_str(), "hit");
+  EXPECT_EQ(again.get("cache")->get("hash")->as_str(),
+            first.get("cache")->get("hash")->as_str());
+  EXPECT_EQ(again.get("report")->dump(), first.get("report")->dump());
+  const Json stats = Json::parse(lines[3]);
+  const Json* graphs = stats.get("stats")->get("graphs");
+  EXPECT_EQ(graphs->get("builds")->as_int(), 2);  // A and B, once each
+  EXPECT_EQ(graphs->get("evictions")->as_int(), 1);
+  EXPECT_EQ(graphs->get("identities")->as_int(), 2);
+  EXPECT_TRUE(graphs->get("build_ms")->is_number());
+  // Each request consulted the report cache exactly once.
+  const Json* reports = stats.get("stats")->get("reports");
+  EXPECT_EQ(reports->get("hits")->as_int() + reports->get("misses")->as_int(),
+            3);
+}
+
+TEST(Server, FileSpecsAndHashRequestsStillNeedResidentGraphs) {
+  ServerOptions tight;
+  tight.graph_cache_capacity = 1;
+  tight.max_batch = 1;
+  const std::string file = std::string("file:path=") + SCOL_REPO_DIR +
+                           "/examples/graphs/grotzsch.col";
+  const auto lines = serve(
+      {
+          R"({"id":1,"algo":"greedy","gen":")" + file + R"("})",
+          R"({"id":2,"algo":"greedy","gen":"petersen"})",
+          // The file's graph was evicted and a file has no identity: it
+          // is read again, and then its report hits.
+          R"({"id":3,"algo":"greedy","gen":")" + file + R"("})",
+          R"({"id":4,"op":"stats"})",
+      },
+      tight);
+  ASSERT_EQ(lines.size(), 4u);
+  const Json reread = Json::parse(lines[2]);
+  ASSERT_TRUE(reread.get("ok")->as_bool()) << lines[2];
+  EXPECT_EQ(reread.get("cache")->get("graph")->as_str(), "miss");
+  EXPECT_EQ(reread.get("cache")->get("report")->as_str(), "hit");
+  EXPECT_EQ(reread.get("report")->dump(),
+            Json::parse(lines[0]).get("report")->dump());
+  const Json stats = Json::parse(lines[3]);
+  const Json* graphs = stats.get("stats")->get("graphs");
+  EXPECT_EQ(graphs->get("builds")->as_int(), 3);
+  EXPECT_EQ(graphs->get("identities")->as_int(), 1);  // petersen only
+
+  // A hash names only a resident graph: once evicted, it errors even
+  // though the spec's identity (and report) are still known.
+  const std::string petersen =
+      Json::parse(lines[1]).get("cache")->get("hash")->as_str();
+  const auto by_hash = serve(
+      {
+          R"({"id":1,"algo":"greedy","gen":"petersen"})",
+          R"({"id":2,"algo":"greedy","hash":")" + petersen + R"("})",
+          R"({"id":3,"algo":"greedy","gen":"heawood"})",
+          R"({"id":4,"algo":"greedy","hash":")" + petersen + R"("})",
+      },
+      tight);
+  ASSERT_EQ(by_hash.size(), 4u);
+  EXPECT_TRUE(Json::parse(by_hash[1]).get("ok")->as_bool());
+  const Json evicted = Json::parse(by_hash[3]);
+  EXPECT_FALSE(evicted.get("ok")->as_bool());
+  EXPECT_NE(evicted.get("error")->as_str().find("no resident graph"),
+            std::string::npos);
+}
+
+/// A response without its telemetry block (latencies are diagnostics and
+/// differ between runs); everything else must match byte for byte.
+std::string without_telemetry(const std::string& line) {
+  const std::size_t begin = line.find(",\"telemetry\":");
+  const std::size_t end = line.find("},\"report\":", begin);
+  if (begin == std::string::npos || end == std::string::npos) return line;
+  return line.substr(0, begin) + line.substr(end + 1);
+}
+
+TEST(Server, ParallelColdBuildsMatchSerialInArrivalOrder) {
+  // One batch of misses over six cold graphs, several requests each: the
+  // pool builds the graphs in parallel and must answer exactly as one
+  // worker does, verdicts included.
+  std::vector<std::string> requests;
+  const std::vector<std::string> gens = {
+      "planar:n=300", "regular:n=96,d=4", "rmat:scale=7",
+      "grid:rows=9,cols=9", "planar:n=200", "regular:n=80,d=3"};
+  int id = 0;
+  for (const std::string algo : {"greedy", "degeneracy", "dsatur"})
+    for (const auto& g : gens)
+      for (int seed = 1; seed <= 2; ++seed)
+        requests.push_back("{\"id\":" + std::to_string(id++) +
+                           ",\"algo\":\"" + algo + "\",\"gen\":\"" + g +
+                           "\",\"seed\":" + std::to_string(seed) + "}");
+  requests.push_back(R"({"id":"stats","op":"stats"})");
+  ServerOptions serial, pooled;
+  pooled.jobs = 4;
+  const auto a = serve(requests, serial);
+  const auto b = serve(requests, pooled);
+  ASSERT_EQ(a.size(), requests.size());
+  ASSERT_EQ(b.size(), requests.size());
+  for (std::size_t i = 0; i + 1 < requests.size(); ++i) {
+    EXPECT_EQ(Json::parse(b[i]).get("id")->as_int(),
+              static_cast<std::int64_t>(i));
+    EXPECT_EQ(without_telemetry(a[i]), without_telemetry(b[i]));
+  }
+  const Json stats = Json::parse(b.back());
+  EXPECT_EQ(stats.get("stats")->get("graphs")->get("builds")->as_int(), 12);  // 6 specs x 2 seeds
 }
 
 std::vector<std::string> report_dumps(

@@ -235,6 +235,11 @@ def check_serve(stream, schema: dict, args) -> list[str]:
                 for section in ("graphs", "reports", "server"):
                     if not isinstance(payload.get(section), dict):
                         bad(f"stats envelope without a '{section}' section")
+                graphs = payload.get("graphs")
+                if isinstance(graphs, dict):
+                    for key, kind in schema["serve_graph_stats_required"].items():
+                        if not KIND_CHECKS[kind](graphs.get(key)):
+                            bad(f"stats.graphs.{key} is not a {kind}")
             continue
 
         # A solve envelope: cache verdicts, telemetry, and a full report.
