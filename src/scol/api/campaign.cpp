@@ -272,7 +272,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   // campaign's file axis is finite and enumerated up front. The cached
   // values are pure functions of the spec, so which worker populates
   // the store cannot affect the stream.
-  GraphStore file_store;
+  GraphStore file_store(/*capacity=*/0, /*identity_capacity=*/0);
   // Specs were validated by enumerate_campaign, so reading the name is
   // a prefix check — no need to re-parse params per instance.
   const auto is_file_spec = [](const std::string& s) {

@@ -24,14 +24,19 @@ const GraphProbe& GraphEntry::probe(const ProbeOptions& options) {
   return *probe_;
 }
 
-std::shared_ptr<GraphEntry> GraphStore::get_scenario(const std::string& spec,
-                                                     std::uint64_t seed,
-                                                     bool* cache_hit) {
+GraphStore::Key GraphStore::key_of(const std::string& spec,
+                                   std::uint64_t seed) {
   // File scenarios ignore their Rng: every seed is the same parse, so
   // normalizing the key to seed 0 makes a multi-seed sweep pay the
   // (dominant) parse cost once.
+  return Key{spec, is_file_spec(spec) ? 0 : seed};
+}
+
+std::shared_ptr<GraphEntry> GraphStore::get_scenario(const std::string& spec,
+                                                     std::uint64_t seed,
+                                                     bool* cache_hit) {
   const bool file = is_file_spec(spec);
-  const Key key{spec, file ? 0 : seed};
+  const Key key = key_of(spec, seed);
 
   std::shared_ptr<GraphEntry> entry;
   {

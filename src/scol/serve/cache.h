@@ -143,11 +143,17 @@ class GraphEntry {
 
 class GraphStore {
  public:
+  /// The cache key of `spec` under `seed`: (spec, seed), except that a
+  /// file-backed spec ignores its seed (every seed is the same parse), so
+  /// all its seeds share the key (spec, 0).
+  using Key = std::pair<std::string, std::uint64_t>;
+  static Key key_of(const std::string& spec, std::uint64_t seed);
+
   /// capacity = maximum resident graphs, identity_capacity = maximum
-  /// remembered identities (0 = unbounded for either). Evicted entries
-  /// stay alive for whoever still holds their shared_ptr.
-  explicit GraphStore(std::size_t capacity = 0,
-                      std::size_t identity_capacity = 0)
+  /// remembered identities (0 = unbounded for either; both explicit, so
+  /// no caller leaves the identity table unbounded by accident). Evicted
+  /// entries stay alive for whoever still holds their shared_ptr.
+  GraphStore(std::size_t capacity, std::size_t identity_capacity)
       : capacity_(capacity), identity_capacity_(identity_capacity) {}
 
   /// The graph of `spec` under `seed`, built on first request. File-backed
@@ -172,8 +178,6 @@ class GraphStore {
   GraphStoreStats stats() const;
 
  private:
-  using Key = std::pair<std::string, std::uint64_t>;
-
   const std::size_t capacity_;
   const std::size_t identity_capacity_;
   mutable std::mutex mu_;

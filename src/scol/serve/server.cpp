@@ -121,7 +121,9 @@ struct Server::Pending {
 
 Server::Server(const ServerOptions& options)
     : options_(options),
-      store_(options.graph_cache_capacity),
+      // A report hit needs at most one identity, so the report cache's
+      // capacity bounds the identity table too.
+      store_(options.graph_cache_capacity, options.report_cache_capacity),
       reports_(options.report_cache_capacity) {
   SCOL_REQUIRE(options.jobs >= 1, + "server wants jobs >= 1");
   SCOL_REQUIRE(options.max_batch >= 1, + "server wants max_batch >= 1");
@@ -225,10 +227,10 @@ void Server::flush(std::vector<Pending>& batch, std::ostream& out) {
 
   // Identity first: a generator spec whose graph this store has built
   // has a known key, so its report hit is answered here, with no graph.
-  // Everything else needs its graph; requests naming one (spec, seed)
-  // share one resolution.
-  std::map<std::pair<std::string, std::uint64_t>, std::vector<std::size_t>>
-      sources;
+  // Everything else needs its graph; requests naming one store key share
+  // one resolution (every seed of a file is one key), and the first of
+  // them to arrive is the one that built it.
+  std::map<GraphStore::Key, std::vector<std::size_t>> sources;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Pending& p = batch[i];
     if (!p.error.empty() || p.req.digest.has_value()) continue;
@@ -242,12 +244,12 @@ void Server::flush(std::vector<Pending>& batch, std::ostream& out) {
       p.error = e.what();
       continue;
     }
-    sources[{spec.scenario, spec.seed}].push_back(i);
+    sources[GraphStore::key_of(spec.scenario, spec.seed)].push_back(i);
   }
 
   // Resolve those graphs on the pool: cold ones build in parallel, and
-  // the entry's once-flag makes concurrent requests for one graph (two
-  // seeds of one file) build it once.
+  // the entry's once-flag makes a concurrent request for one graph (from
+  // another connection's batch) wait for that single build.
   std::vector<decltype(sources)::iterator> to_resolve;
   for (auto it = sources.begin(); it != sources.end(); ++it)
     to_resolve.push_back(it);

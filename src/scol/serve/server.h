@@ -13,7 +13,8 @@
 //       remembered (digest, max degree), which is all a canonical cache
 //       key needs; report-cache hits answer here, touching no graph
 //     → resolve the graphs of everything else on the pool (one
-//       resolution per (spec, seed); cold graphs build in parallel),
+//       resolution per graph-store key, so every seed of a file is one;
+//       cold graphs build in parallel),
 //       then key and look up the requests that had no identity; hash
 //       requests find their resident graph here
 //     → group remaining requests by key (same graph+algo+seed+params
@@ -22,8 +23,9 @@
 //     → emit responses in arrival order.
 //
 // Each request consults the report cache exactly once. An envelope's
-// cache.graph verdict reads "miss" only for the request that built its
-// graph; a report hit answered from an identity reads "hit".
+// cache.graph verdict reads "miss" only for the first-arriving request
+// that built its graph; a report hit answered from an identity reads
+// "hit".
 //
 // Batching is opportunistic, not time-based: a lone request never waits
 // for company (in_avail() == 0 flushes immediately), while a pipelined

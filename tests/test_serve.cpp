@@ -93,7 +93,7 @@ TEST(CanonicalParams, OrderInvariantTypeTagged) {
 // --- GraphStore --------------------------------------------------------
 
 TEST(GraphStore, MemoizesAndCountsHits) {
-  GraphStore store;
+  GraphStore store(/*capacity=*/0, /*identity_capacity=*/0);
   bool hit = true;
   auto first = store.get_scenario("grid:rows=4,cols=4", 1, &hit);
   EXPECT_FALSE(hit);
@@ -116,7 +116,7 @@ TEST(GraphStore, FileSpecsIgnoreSeed) {
   const std::string spec =
       std::string("file:path=") + SCOL_REPO_DIR +
       "/examples/graphs/petersen.mtx";
-  GraphStore store;
+  GraphStore store(/*capacity=*/0, /*identity_capacity=*/0);
   bool hit = true;
   auto a = store.get_scenario(spec, 1, &hit);
   EXPECT_FALSE(hit);
@@ -126,7 +126,7 @@ TEST(GraphStore, FileSpecsIgnoreSeed) {
 }
 
 TEST(GraphStore, DigestIndexAndErrors) {
-  GraphStore store;
+  GraphStore store(/*capacity=*/0, /*identity_capacity=*/0);
   auto entry = store.get_scenario("petersen", 1);
   ASSERT_NE(entry->graph(), nullptr);
   auto by_hash = store.find_digest(entry->digest());
@@ -147,7 +147,7 @@ TEST(GraphStore, DigestIndexAndErrors) {
 }
 
 TEST(GraphStore, EvictsLeastRecentlyUsed) {
-  GraphStore store(2);
+  GraphStore store(/*capacity=*/2, /*identity_capacity=*/0);
   auto a = store.get_scenario("petersen", 1);
   store.get_scenario("heawood", 1);
   store.get_scenario("petersen", 1);   // touch: heawood is now LRU
@@ -429,6 +429,31 @@ TEST(Server, ReportHitAfterEvictionBuildsNoGraph) {
             3);
 }
 
+TEST(Server, ReportCacheCapacityBoundsTheIdentityTable) {
+  // Every distinct generator (spec, seed) leaves an identity; a daemon
+  // fed ever-new seeds must still hold at most --report-cache of them.
+  ServerOptions tight;
+  tight.report_cache_capacity = 2;
+  tight.max_batch = 1;
+  std::vector<std::string> requests;
+  for (int seed = 1; seed <= 3; ++seed)
+    for (const std::string gen : {"regular:n=32,d=4", "planar:n=40"}) {
+      const std::string id = std::to_string(requests.size());
+      requests.push_back(R"({"id":)" + id + R"(,"algo":"greedy","gen":")" +
+                         gen + R"(","seed":)" + std::to_string(seed) + "}");
+      requests.push_back(R"({"id":"stats","op":"stats"})");
+    }
+  const auto lines = serve(requests, tight);
+  ASSERT_EQ(lines.size(), requests.size());
+  for (std::size_t i = 1; i < lines.size(); i += 2) {
+    const Json stats = Json::parse(lines[i]);
+    const std::int64_t identities =
+        stats.get("stats")->get("graphs")->get("identities")->as_int();
+    EXPECT_LE(identities, 2) << "after request " << i / 2;
+    EXPECT_EQ(identities, std::min<std::int64_t>(i / 2 + 1, 2));
+  }
+}
+
 TEST(Server, FileSpecsAndHashRequestsStillNeedResidentGraphs) {
   ServerOptions tight;
   tight.graph_cache_capacity = 1;
@@ -487,13 +512,16 @@ std::string without_telemetry(const std::string& line) {
 }
 
 TEST(Server, ParallelColdBuildsMatchSerialInArrivalOrder) {
-  // One batch of misses over six cold graphs, several requests each: the
-  // pool builds the graphs in parallel and must answer exactly as one
-  // worker does, verdicts included.
+  // One batch of misses over seven cold graphs, several requests each:
+  // the pool builds the graphs in parallel and must answer exactly as one
+  // worker does, verdicts included. Both seeds of the file are one graph,
+  // built for the first request that names it.
   std::vector<std::string> requests;
+  const std::string file = std::string("file:path=") + SCOL_REPO_DIR +
+                           "/examples/graphs/grotzsch.col";
   const std::vector<std::string> gens = {
       "planar:n=300", "regular:n=96,d=4", "rmat:scale=7",
-      "grid:rows=9,cols=9", "planar:n=200", "regular:n=80,d=3"};
+      "grid:rows=9,cols=9", "planar:n=200", "regular:n=80,d=3", file};
   int id = 0;
   for (const std::string algo : {"greedy", "degeneracy", "dsatur"})
     for (const auto& g : gens)
@@ -513,8 +541,22 @@ TEST(Server, ParallelColdBuildsMatchSerialInArrivalOrder) {
               static_cast<std::int64_t>(i));
     EXPECT_EQ(without_telemetry(a[i]), without_telemetry(b[i]));
   }
-  const Json stats = Json::parse(b.back());
-  EXPECT_EQ(stats.get("stats")->get("graphs")->get("builds")->as_int(), 12);  // 6 specs x 2 seeds
+  for (const auto* lines : {&a, &b}) {
+    std::vector<std::string> file_verdicts;
+    for (std::size_t i = 0; i + 1 < requests.size(); ++i)
+      if (requests[i].find(file) != std::string::npos)
+        file_verdicts.push_back(
+            Json::parse((*lines)[i]).get("cache")->get("graph")->as_str());
+    ASSERT_EQ(file_verdicts.size(), 6u);
+    EXPECT_EQ(file_verdicts.front(), "miss");
+    for (std::size_t i = 1; i < file_verdicts.size(); ++i)
+      EXPECT_EQ(file_verdicts[i], "hit");
+    const Json stats = Json::parse(lines->back());
+    const Json* graphs = stats.get("stats")->get("graphs");
+    // 6 generator specs x 2 seeds, plus one parse for both file seeds.
+    EXPECT_EQ(graphs->get("builds")->as_int(), 13);
+    EXPECT_EQ(graphs->get("hits")->as_int(), 0);
+  }
 }
 
 std::vector<std::string> report_dumps(
