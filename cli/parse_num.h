@@ -59,6 +59,16 @@ inline std::string parse_real(const std::string& text, const char* flag,
   return "";
 }
 
+/// The `need_value(i, flag)` of a flag loop: argv[i + 1], or
+/// fail("<flag> needs a value") when the flag comes last.
+template <typename Fail>
+auto value_reader(int argc, char** argv, Fail fail) {
+  return [argc, argv, fail](int i, const char* flag) -> std::string {
+    if (i + 1 >= argc) fail(std::string(flag) + " needs a value");
+    return argv[i + 1];
+  };
+}
+
 // Flag-level conveniences. `fail` is the binary's [[noreturn]] usage-error
 // function (message -> usage text -> exit 2); the returns after it are
 // unreachable but keep the compiler satisfied for non-attributed callables.

@@ -197,10 +197,8 @@ int gen_main(int argc, char** argv) {
   std::string format_arg = "auto";
   std::uint64_t seed = 1;
 
-  const auto need_value = [&](int i, const char* flag) -> std::string {
-    if (i + 1 >= argc) gen_usage_error(std::string(flag) + " needs a value");
-    return argv[i + 1];
-  };
+  const auto need_value =
+      scol_cli_parse::value_reader(argc, argv, gen_usage_error);
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--gen") {
@@ -252,6 +250,34 @@ int gen_main(int argc, char** argv) {
   return 0;
 }
 
+// The probe cost flags of `probe` and `campaign`: false when argv[i] is
+// none of them; else parses its value into `options` and steps `i` past
+// it, routing errors through the caller's usage-error function `fail`.
+template <typename Fail>
+bool parse_probe_flag(int argc, char** argv, int& i, ProbeOptions& options,
+                      Fail fail) {
+  const std::string arg = argv[i];
+  const auto value = [&](std::int64_t max_value) {
+    return scol_cli_parse::checked_int(
+        scol_cli_parse::value_reader(argc, argv, fail)(i, arg.c_str()),
+        arg.c_str(), 0, max_value, fail);
+  };
+  constexpr std::int64_t kMaxVertex = std::numeric_limits<Vertex>::max();
+  if (arg == "--planarity-limit") {
+    options.planarity_limit = static_cast<Vertex>(value(kMaxVertex));
+  } else if (arg == "--girth-limit") {
+    options.girth_limit = static_cast<Vertex>(value(kMaxVertex));
+  } else if (arg == "--mad-limit") {
+    options.exact_mad_limit = static_cast<Vertex>(value(kMaxVertex));
+  } else if (arg == "--probe-budget") {
+    options.budget = value(std::numeric_limits<std::int64_t>::max());
+  } else {
+    return false;
+  }
+  ++i;
+  return true;
+}
+
 // `scol-cli probe ...`: certified structure of one scenario's graph plus
 // the per-algorithm eligibility verdicts — the dry-run companion of
 // `campaign --algo all` over arbitrary files.
@@ -263,11 +289,8 @@ int probe_main(int argc, char** argv) {
   ParamBag params;
   ProbeOptions probe_options;
 
-  const auto need_value = [&](int i, const char* flag) -> std::string {
-    if (i + 1 >= argc) probe_usage_error(std::string(flag) +
-                                         " needs a value");
-    return argv[i + 1];
-  };
+  const auto need_value =
+      scol_cli_parse::value_reader(argc, argv, probe_usage_error);
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--gen") {
@@ -285,35 +308,10 @@ int probe_main(int argc, char** argv) {
     } else if (arg == "--param") {
       parse_param(params, need_value(i, "--param"));
       ++i;
-    } else if (arg == "--planarity-limit") {
-      probe_options.planarity_limit = static_cast<Vertex>(
-          scol_cli_parse::checked_int(need_value(i, "--planarity-limit"),
-                                      "--planarity-limit", 0,
-                                      std::numeric_limits<Vertex>::max(),
-                                      probe_usage_error));
-      ++i;
-    } else if (arg == "--girth-limit") {
-      probe_options.girth_limit = static_cast<Vertex>(
-          scol_cli_parse::checked_int(need_value(i, "--girth-limit"),
-                                      "--girth-limit", 0,
-                                      std::numeric_limits<Vertex>::max(),
-                                      probe_usage_error));
-      ++i;
-    } else if (arg == "--mad-limit") {
-      probe_options.exact_mad_limit = static_cast<Vertex>(
-          scol_cli_parse::checked_int(need_value(i, "--mad-limit"),
-                                      "--mad-limit", 0,
-                                      std::numeric_limits<Vertex>::max(),
-                                      probe_usage_error));
-      ++i;
-    } else if (arg == "--probe-budget") {
-      probe_options.budget = scol_cli_parse::checked_int(
-          need_value(i, "--probe-budget"), "--probe-budget", 0,
-          std::numeric_limits<std::int64_t>::max(), probe_usage_error);
-      ++i;
     } else if (arg == "--pretty") {
       pretty = true;
-    } else {
+    } else if (!parse_probe_flag(argc, argv, i, probe_options,
+                                 probe_usage_error)) {
       probe_usage_error("unknown flag '" + arg + "'");
     }
   }
@@ -324,34 +322,8 @@ int probe_main(int argc, char** argv) {
     const GraphProbe probe = probe_graph(g, probe_options);
 
     Json out = Json::object();
-    Json scenario = Json::object();
-    scenario.set("spec", Json::str(gen));
-    scenario.set("n", Json::integer(g.num_vertices()));
-    scenario.set("m", Json::integer(g.num_edges()));
-    scenario.set("max_degree", Json::integer(g.max_degree()));
-    out.set("scenario", std::move(scenario));
-
-    Json pj = Json::object();
-    pj.set("n", Json::integer(probe.n));
-    pj.set("m", Json::integer(probe.m));
-    pj.set("max_degree", Json::integer(probe.max_degree));
-    pj.set("degeneracy", Json::integer(probe.degeneracy));
-    pj.set("degeneracy_exact", Json::boolean(probe.degeneracy_exact));
-    pj.set("degeneracy_lower", Json::integer(probe.degeneracy_lower));
-    pj.set("sampled", Json::boolean(probe.sampled));
-    pj.set("mad_upper", Json::real(probe.mad_upper));
-    pj.set("mad_exact", Json::boolean(probe.mad_exact));
-    pj.set("arboricity_upper", Json::integer(probe.arboricity_upper));
-    pj.set("arboricity_exact", Json::boolean(probe.arboricity_exact));
-    pj.set("components", Json::integer(probe.components));
-    pj.set("connected", Json::boolean(probe.connected));
-    pj.set("forest", Json::boolean(probe.forest));
-    pj.set("complete", Json::boolean(probe.complete));
-    pj.set("girth", Json::integer(probe.girth));
-    pj.set("girth_floor", Json::integer(probe.girth_floor));
-    pj.set("triangle_free", Json::boolean(probe.triangle_free));
-    pj.set("planar", Json::str(to_string(probe.planar)));
-    out.set("probe", std::move(pj));
+    out.set("scenario", scenario_json(gen, g));
+    out.set("probe", to_json(probe));
     out.set("k", Json::integer(k));
     out.set("seed", Json::integer(static_cast<std::int64_t>(seed)));
 
@@ -409,11 +381,8 @@ int campaign_main(int argc, char** argv) {
   bool summary_only = false;
   std::string out_path;
 
-  const auto need_value = [&](int i, const char* flag) -> std::string {
-    if (i + 1 >= argc) campaign_usage_error(std::string(flag) +
-                                            " needs a value");
-    return argv[i + 1];
-  };
+  const auto need_value =
+      scol_cli_parse::value_reader(argc, argv, campaign_usage_error);
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--gen") {
@@ -499,35 +468,10 @@ int campaign_main(int argc, char** argv) {
       summary_only = true;
     } else if (arg == "--no-probe") {
       spec.probe = false;
-    } else if (arg == "--planarity-limit") {
-      spec.probe_options.planarity_limit = static_cast<Vertex>(
-          scol_cli_parse::checked_int(need_value(i, "--planarity-limit"),
-                                      "--planarity-limit", 0,
-                                      std::numeric_limits<Vertex>::max(),
-                                      campaign_usage_error));
-      ++i;
-    } else if (arg == "--girth-limit") {
-      spec.probe_options.girth_limit = static_cast<Vertex>(
-          scol_cli_parse::checked_int(need_value(i, "--girth-limit"),
-                                      "--girth-limit", 0,
-                                      std::numeric_limits<Vertex>::max(),
-                                      campaign_usage_error));
-      ++i;
-    } else if (arg == "--mad-limit") {
-      spec.probe_options.exact_mad_limit = static_cast<Vertex>(
-          scol_cli_parse::checked_int(need_value(i, "--mad-limit"),
-                                      "--mad-limit", 0,
-                                      std::numeric_limits<Vertex>::max(),
-                                      campaign_usage_error));
-      ++i;
-    } else if (arg == "--probe-budget") {
-      spec.probe_options.budget = scol_cli_parse::checked_int(
-          need_value(i, "--probe-budget"), "--probe-budget", 0,
-          std::numeric_limits<std::int64_t>::max(), campaign_usage_error);
-      ++i;
     } else if (arg == "--pretty") {
       pretty = true;
-    } else {
+    } else if (!parse_probe_flag(argc, argv, i, spec.probe_options,
+                                 campaign_usage_error)) {
       campaign_usage_error("unknown flag '" + arg + "'");
     }
   }
@@ -599,10 +543,8 @@ int main(int argc, char** argv) {
   OneShotSpec spec;
   bool pretty = false;
 
-  const auto need_value = [&](int i, const char* flag) -> std::string {
-    if (i + 1 >= argc) usage_error(std::string(flag) + " needs a value");
-    return argv[i + 1];
-  };
+  const auto need_value =
+      scol_cli_parse::value_reader(argc, argv, usage_error);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--list-algos") {

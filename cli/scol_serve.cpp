@@ -67,10 +67,8 @@ int main(int argc, char** argv) {
   ServerOptions options;
   int port = -1;
 
-  const auto need_value = [&](int i, const char* flag) -> std::string {
-    if (i + 1 >= argc) usage_error(std::string(flag) + " needs a value");
-    return argv[i + 1];
-  };
+  const auto need_value =
+      scol_cli_parse::value_reader(argc, argv, usage_error);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--version") {

@@ -6,7 +6,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string_view>
 
+#include "scol/api/oneshot.h"
 #include "scol/api/registry.h"
 #include "scol/api/request.h"
 #include "scol/api/scenario.h"
@@ -52,9 +54,7 @@ ParamBag merged_params(const CampaignSpec& spec, const std::string& algo) {
 struct JobRun {
   CampaignJob job;
   ColoringReport report;
-  Vertex k_eff = -1;        // k used to build lists / passed as request.k
-  Color palette_eff = -1;   // random-lists palette (-1 = no lists/uniform)
-  std::string lists;        // "uniform" | "random" | "none"
+  RunShape shape;           // request.k and the lists it was given
   std::int64_t bound = -1;  // registered guarantee (-1 = none)
   bool colored_ok = false;  // kColored AND revalidated by the oracle
   bool skipped = false;     // probe filter: precondition not satisfied
@@ -100,22 +100,19 @@ void oracle_cross_check(std::vector<JobRun>& runs) {
   for (std::size_t p = 0; p < runs.size(); ++p) {
     const JobRun& prover = runs[p];
     if (prover.report.status != SolveStatus::kInfeasible) continue;
-    const bool k_problem = prover.lists != "random";
-    if (k_problem && prover.k_eff <= 0) continue;
+    const bool k_problem = std::string_view(prover.shape.lists) != "random";
+    if (k_problem && prover.shape.k <= 0) continue;
     for (std::size_t c = 0; c < runs.size(); ++c) {
       const JobRun& witness = runs[c];
       if (!witness.colored_ok) continue;
       const bool conflict =
-          k_problem
-              ? witness.report.colors_used <= prover.k_eff
-              : (witness.lists == "random" &&
-                 witness.k_eff == prover.k_eff &&
-                 witness.palette_eff == prover.palette_eff);
+          k_problem ? witness.report.colors_used <= prover.shape.k
+                    : witness.shape == prover.shape;
       if (!conflict) continue;
       runs[std::max(p, c)].violations.push_back(
           "oracle: '" + prover.job.algorithm +
-          "' proved infeasibility (k=" + std::to_string(prover.k_eff) +
-          ", lists=" + prover.lists + ") but '" + witness.job.algorithm +
+          "' proved infeasibility (k=" + std::to_string(prover.shape.k) +
+          ", lists=" + prover.shape.lists + ") but '" + witness.job.algorithm +
           "' produced a validated coloring with " +
           std::to_string(witness.report.colors_used) + " colors");
     }
@@ -135,13 +132,8 @@ Json job_line(const JobRun& run, const std::string& scenario_spec,
   // recombination; raw wall time would break that, so it is zeroed
   // unless explicitly requested (summary quantiles always use it).
   if (!include_timing) line.set("wall_ms", Json::real(0.0));
-  Json scenario = Json::object();
-  scenario.set("spec", Json::str(scenario_spec));
-  scenario.set("n", Json::integer(g.num_vertices()));
-  scenario.set("m", Json::integer(g.num_edges()));
-  scenario.set("max_degree", Json::integer(g.max_degree()));
-  line.set("scenario", std::move(scenario));
-  line.set("k", Json::integer(run.k_eff));
+  line.set("scenario", scenario_json(scenario_spec, g));
+  line.set("k", Json::integer(run.shape.k));
   line.set("seed", Json::integer(static_cast<std::int64_t>(run.job.seed)));
   line.set("threads", Json::integer(0));  // jobs never use a nested pool
   // Present only for telemetry-carrying sharded campaigns, so every
@@ -151,8 +143,8 @@ Json job_line(const JobRun& run, const std::string& scenario_spec,
   line.set("job", Json::integer(static_cast<std::int64_t>(run.job.index)));
   line.set("instance",
            Json::integer(static_cast<std::int64_t>(run.job.instance)));
-  line.set("lists", Json::str(run.lists));
-  line.set("palette", Json::integer(run.palette_eff));
+  line.set("lists", Json::str(run.shape.lists));
+  line.set("palette", Json::integer(run.shape.palette));
   Json oracle = Json::object();
   oracle.set("ok", Json::boolean(run.violations.empty()));
   oracle.set("colors_bound", Json::integer(run.bound));
@@ -273,11 +265,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   // values are pure functions of the spec, so which worker populates
   // the store cannot affect the stream.
   GraphStore file_store(/*capacity=*/0, /*identity_capacity=*/0);
-  // Specs were validated by enumerate_campaign, so reading the name is
-  // a prefix check — no need to re-parse params per instance.
-  const auto is_file_spec = [](const std::string& s) {
-    return s.substr(0, s.find(':')) == "file";
-  };
 
   const Executor& exec = resolve_executor(options.executor);
   exec.parallel_ranges(local.size(), [&](std::size_t begin, std::size_t end) {
@@ -316,9 +303,9 @@ CampaignResult run_campaign(const CampaignSpec& spec,
           build_error = e.what();
         }
       }
-      // Lists shared across jobs with the same (k, palette): identical
+      // Lists shared across jobs with the same shape: identical
       // assignments are what make the cross-job verdicts comparable.
-      std::map<std::pair<Vertex, Color>, ListAssignment> lists_cache;
+      std::vector<std::pair<RunShape, ListAssignment>> lists_cache;
       // Sharded intra-job execution: the plan depends on the graph, so the
       // executor is per-instance. Sequential mode — instances are already
       // fanned over the job executor; what p adds here is the partition,
@@ -340,7 +327,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
             AlgorithmRegistry::instance().at(spec.algorithms[a]);
         JobRun run;
         run.job = grid[instance * num_algorithms + a];
-        run.lists = "none";
 
         if (graph == nullptr) {
           run.report = ColoringReport::failed("scenario build failed: " +
@@ -354,9 +340,9 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         req.graph = graph;
         req.algorithm = info.name;
         req.params = merged_params(spec, info.name);
-        run.k_eff = effective_k(info, spec.k, graph->max_degree(),
-                                req.params);
-        req.k = run.k_eff;
+        run.shape = run_shape(info, spec.k, spec.lists_mode, spec.palette,
+                              graph->max_degree(), req.params);
+        req.k = run.shape.k;
 
         // Probe filter: answer ineligible cells without solving. The
         // probe is a pure function of the graph, so the verdict — and
@@ -373,8 +359,10 @@ CampaignResult run_campaign(const CampaignSpec& spec,
             }
           }
           run.skip_reason = algorithm_skip_reason(
-              info, EligibilityQuery{probe, &req.params, run.k_eff});
+              info, EligibilityQuery{probe, &req.params, run.shape.k});
           if (!run.skip_reason.empty()) {
+            // A skipped cell builds no lists, so its line echoes none.
+            run.shape = RunShape{run.shape.k};
             run.skipped = true;
             run.report.algorithm = info.name;
             runs.push_back(std::move(run));
@@ -384,31 +372,13 @@ CampaignResult run_campaign(const CampaignSpec& spec,
 
         const ListAssignment* lists = nullptr;
         if (info.caps.needs_lists) {
-          run.lists = spec.lists_mode;
-          if (spec.lists_mode == "random")
-            run.palette_eff = spec.palette > 0
-                                  ? spec.palette
-                                  : static_cast<Color>(4 * run.k_eff);
-          const auto key = std::make_pair(run.k_eff, run.palette_eff);
-          auto it = lists_cache.find(key);
-          if (it == lists_cache.end()) {
-            ListAssignment built;
-            if (spec.lists_mode == "uniform") {
-              built = uniform_lists(graph->num_vertices(),
-                                    static_cast<Color>(run.k_eff));
-            } else {
-              // Pure function of (seed, k, palette): every job that asks
-              // for this shape sees the same assignment, under any job
-              // executor and shard split.
-              Rng list_rng = Rng::stream(
-                  seed, (static_cast<std::uint64_t>(run.k_eff) << 32) ^
-                            static_cast<std::uint64_t>(run.palette_eff));
-              built = random_lists(graph->num_vertices(),
-                                   static_cast<Color>(run.k_eff),
-                                   run.palette_eff, list_rng);
-            }
-            it = lists_cache.emplace(key, std::move(built)).first;
-          }
+          auto it = std::find_if(
+              lists_cache.begin(), lists_cache.end(),
+              [&](const auto& cached) { return cached.first == run.shape; });
+          if (it == lists_cache.end())
+            it = lists_cache.emplace(
+                it, run.shape,
+                build_lists(run.shape, graph->num_vertices(), seed));
           lists = &it->second;
           req.lists = lists;
         }

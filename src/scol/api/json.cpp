@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "scol/io/probe.h"
+
 namespace scol {
 
 Json Json::boolean(bool v) {
@@ -553,6 +555,30 @@ Json to_json(const ColoringReport& report, bool include_coloring) {
     obj.set("coloring", std::move(colors));
   }
   return obj;
+}
+
+Json to_json(const GraphProbe& p) {
+  Json out = Json::object();
+  out.set("n", Json::integer(p.n));
+  out.set("m", Json::integer(p.m));
+  out.set("max_degree", Json::integer(p.max_degree));
+  out.set("degeneracy", Json::integer(p.degeneracy));
+  out.set("degeneracy_exact", Json::boolean(p.degeneracy_exact));
+  out.set("degeneracy_lower", Json::integer(p.degeneracy_lower));
+  out.set("sampled", Json::boolean(p.sampled));
+  out.set("mad_upper", Json::real(p.mad_upper));
+  out.set("mad_exact", Json::boolean(p.mad_exact));
+  out.set("arboricity_upper", Json::integer(p.arboricity_upper));
+  out.set("arboricity_exact", Json::boolean(p.arboricity_exact));
+  out.set("components", Json::integer(p.components));
+  out.set("connected", Json::boolean(p.connected));
+  out.set("forest", Json::boolean(p.forest));
+  out.set("complete", Json::boolean(p.complete));
+  out.set("girth", Json::integer(p.girth));
+  out.set("girth_floor", Json::integer(p.girth_floor));
+  out.set("triangle_free", Json::boolean(p.triangle_free));
+  out.set("planar", Json::str(to_string(p.planar)));
+  return out;
 }
 
 }  // namespace scol

@@ -23,6 +23,8 @@
 
 namespace scol {
 
+struct GraphProbe;
+
 class Json {
  public:
   Json() = default;  // null
@@ -101,5 +103,8 @@ Json to_json(const ParamBag& bag);
 /// ledger breakdown, metrics, certificate/failure when present, and the
 /// coloring itself when include_coloring is set.
 Json to_json(const ColoringReport& report, bool include_coloring = false);
+
+/// The "probe" object of `scol-cli probe` and of scol-serve's probe op.
+Json to_json(const GraphProbe& probe);
 
 }  // namespace scol

@@ -1,6 +1,7 @@
 #include "scol/api/oneshot.h"
 
 #include <memory>
+#include <string_view>
 
 #include "scol/api/registry.h"
 #include "scol/api/request.h"
@@ -20,39 +21,68 @@ int one_shot_exit_code(const Json& report) {
              : 0;
 }
 
+bool RunShape::operator==(const RunShape& o) const {
+  return k == o.k && std::string_view(lists) == o.lists &&
+         palette == o.palette;
+}
+
+RunShape run_shape(const AlgorithmInfo& info, Vertex k,
+                   const std::string& lists_mode, Color palette,
+                   Vertex max_degree, const ParamBag& params) {
+  SCOL_REQUIRE(lists_mode == "uniform" || lists_mode == "random",
+               + ("lists_mode must be uniform or random, got '" +
+                  lists_mode + "'"));
+  RunShape shape;
+  shape.k = effective_k(info, k, max_degree, params);
+  if (!info.caps.needs_lists) return shape;
+  if (lists_mode == "uniform") {
+    shape.lists = "uniform";
+  } else {
+    shape.lists = "random";
+    shape.palette = palette > 0 ? palette : static_cast<Color>(4 * shape.k);
+  }
+  return shape;
+}
+
+ListAssignment build_lists(const RunShape& shape, Vertex n,
+                           std::uint64_t seed) {
+  const std::string_view mode = shape.lists;
+  SCOL_REQUIRE(mode != "none", + "build_lists needs a shape with lists");
+  if (mode == "uniform") return uniform_lists(n, static_cast<Color>(shape.k));
+  // Keyed on (seed, k, palette) alone: not on how the graph was obtained
+  // (generated vs cached), nor on which campaign job asked first.
+  Rng list_rng =
+      Rng::stream(seed, (static_cast<std::uint64_t>(shape.k) << 32) ^
+                            static_cast<std::uint64_t>(shape.palette));
+  return random_lists(n, static_cast<Color>(shape.k), shape.palette,
+                      list_rng);
+}
+
+Json scenario_json(const std::string& spec, const Graph& g) {
+  Json scenario = Json::object();
+  scenario.set("spec", Json::str(spec));
+  scenario.set("n", Json::integer(g.num_vertices()));
+  scenario.set("m", Json::integer(g.num_edges()));
+  scenario.set("max_degree", Json::integer(g.max_degree()));
+  return scenario;
+}
+
 Json one_shot_report_on(const Graph& g, const OneShotSpec& spec,
                         const Executor* executor,
                         std::shared_ptr<Arena> arena) {
   const AlgorithmInfo& info =
       AlgorithmRegistry::instance().at(spec.algorithm);
-  SCOL_REQUIRE(
-      spec.lists_mode == "uniform" || spec.lists_mode == "random",
-      + ("lists_mode must be uniform or random, got '" + spec.lists_mode +
-         "'"));
-
-  const Vertex k = effective_k(info, spec.k, g.max_degree(), spec.params);
+  const RunShape shape = run_shape(info, spec.k, spec.lists_mode,
+                                   spec.palette, g.max_degree(), spec.params);
 
   ListAssignment lists;
   ColoringRequest req;
   req.graph = &g;
   req.algorithm = spec.algorithm;
-  req.k = k;
+  req.k = shape.k;
   req.params = spec.params;
-  Color palette = spec.palette;
   if (info.caps.needs_lists) {
-    if (spec.lists_mode == "uniform") {
-      lists = uniform_lists(g.num_vertices(), static_cast<Color>(k));
-    } else {
-      if (palette <= 0) palette = static_cast<Color>(4 * k);
-      // Pure function of (seed, k, palette), matching the campaign
-      // runner: the assignment never depends on how the graph was
-      // obtained (fresh generator state vs cache hit).
-      Rng list_rng =
-          Rng::stream(spec.seed, (static_cast<std::uint64_t>(k) << 32) ^
-                                     static_cast<std::uint64_t>(palette));
-      lists = random_lists(g.num_vertices(), static_cast<Color>(k), palette,
-                           list_rng);
-    }
+    lists = build_lists(shape, g.num_vertices(), spec.seed);
     req.lists = &lists;
   }
 
@@ -71,13 +101,8 @@ Json one_shot_report_on(const Graph& g, const OneShotSpec& spec,
   if (!spec.include_timing) report.wall_ms = 0.0;
 
   Json out = to_json(report, spec.with_coloring);
-  Json scenario = Json::object();
-  scenario.set("spec", Json::str(spec.scenario));
-  scenario.set("n", Json::integer(g.num_vertices()));
-  scenario.set("m", Json::integer(g.num_edges()));
-  scenario.set("max_degree", Json::integer(g.max_degree()));
-  out.set("scenario", std::move(scenario));
-  out.set("k", Json::integer(k));
+  out.set("scenario", scenario_json(spec.scenario, g));
+  out.set("k", Json::integer(shape.k));
   out.set("seed", Json::integer(static_cast<std::int64_t>(spec.seed)));
   out.set("threads", Json::integer(spec.threads));
   return out;

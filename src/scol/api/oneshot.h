@@ -7,14 +7,14 @@
 // it into the exact JSON object scol-cli prints. Because all three
 // binaries call THIS function, "a served response is byte-identical to
 // the one-shot CLI run" is a structural property, not a test-enforced
-// aspiration: there is no second serializer to drift.
+// aspiration: there is no second serializer to drift. The campaign
+// runner and the report-cache key shape lists through run_shape() and
+// build_lists() too, so all three hand solve() the same lists by
+// construction.
 //
 // Determinism notes baked into this path:
 //
-//  - random list assignments are a pure function of (seed, k, palette)
-//    via Rng::stream — never of leftover generator state — matching the
-//    campaign runner, so a cached graph and a freshly built one yield
-//    the same lists;
+//  - lists never depend on leftover generator state (build_lists);
 //  - `include_timing=false` zeroes wall_ms (the only nondeterministic
 //    report field); scol-serve always runs in this mode and reports real
 //    latencies in its envelope telemetry instead;
@@ -34,6 +34,33 @@
 #include "scol/util/executor.h"
 
 namespace scol {
+
+struct AlgorithmInfo;
+
+/// A run's request.k and list assignment shape. Runs on one graph and
+/// seed with equal shapes see the same lists.
+struct RunShape {
+  Vertex k = -1;
+  const char* lists = "none";  ///< "uniform" | "random" | "none"
+  Color palette = -1;          ///< random lists' palette; -1 otherwise
+
+  bool operator==(const RunShape& o) const;
+};
+
+/// `info`'s shape for a requested k (-1 = auto, see effective_k), lists
+/// mode ("uniform" | "random", else PreconditionError) and palette (<= 0
+/// = 4k) on a graph of `max_degree`; lists "none" when it takes none.
+RunShape run_shape(const AlgorithmInfo& info, Vertex k,
+                   const std::string& lists_mode, Color palette,
+                   Vertex max_degree, const ParamBag& params);
+
+/// The lists of `shape` (not "none") on `n` vertices: {0..k-1} each, or
+/// random k-subsets of the palette, a pure function of (seed, k, palette).
+ListAssignment build_lists(const RunShape& shape, Vertex n,
+                           std::uint64_t seed);
+
+/// The report's scenario echo: {spec, n, m, max_degree}.
+Json scenario_json(const std::string& spec, const Graph& g);
 
 /// Everything that determines one run's report (except timing).
 struct OneShotSpec {

@@ -76,12 +76,21 @@ std::vector<std::string> AlgorithmRegistry::names() const {
   return out;
 }
 
+std::string why_not_k(const EligibilityQuery& q, Vertex needed,
+                      const char* what) {
+  if (q.k >= needed) return "";
+  return std::string("needs ") + what + " >= " + std::to_string(needed) +
+         ", got " + std::to_string(q.k);
+}
+
 std::string algorithm_skip_reason(const AlgorithmInfo& info,
                                   const EligibilityQuery& query) {
   if (!info.precondition) return "";
   SCOL_REQUIRE(query.probe != nullptr && query.params != nullptr,
                + "eligibility query needs a probe and params");
-  return info.precondition(query);
+  std::string reason = info.precondition(query);
+  if (!reason.empty() || !info.min_k) return reason;
+  return why_not_k(query, info.min_k(*query.params), "k");
 }
 
 Vertex effective_k(const AlgorithmInfo& info, Vertex k, Vertex max_degree,

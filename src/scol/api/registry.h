@@ -75,7 +75,9 @@ struct AlgorithmInfo {
   /// minima like "deg+1 lists" are already covered by the max-degree
   /// auto-k). effective_k() raises an auto-k job's k to this, so a
   /// campaign over an arbitrary input exercises fixed-palette
-  /// algorithms (planar6 needs 6-lists) without per-file curation.
+  /// algorithms (planar6 needs 6-lists) without per-file curation, and
+  /// algorithm_skip_reason() checks an explicit k against it once the
+  /// precondition holds — preconditions never restate it.
   std::function<Vertex(const ParamBag&)> min_k = nullptr;
 };
 
@@ -108,8 +110,12 @@ class AlgorithmRegistry {
 /// in solve.cpp next to the wrappers it registers).
 void register_builtin_algorithms(AlgorithmRegistry& registry);
 
-/// Evaluates an algorithm's structural precondition: "" when eligible
-/// (or when the algorithm declares none), else the reason it cannot run.
+/// "" when query.k >= needed, else "needs <what> >= <needed>, got <k>".
+std::string why_not_k(const EligibilityQuery& query, Vertex needed,
+                      const char* what);
+
+/// Evaluates an algorithm's structural precondition, then its min_k: ""
+/// when eligible (or when it declares no precondition), else the reason.
 std::string algorithm_skip_reason(const AlgorithmInfo& info,
                                   const EligibilityQuery& query);
 

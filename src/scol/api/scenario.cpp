@@ -316,6 +316,10 @@ std::pair<std::string, ParamBag> validate_scenario_spec(
   return parsed;
 }
 
+bool is_file_spec(const std::string& spec) {
+  return spec.compare(0, spec.find(':'), "file") == 0;
+}
+
 Graph build_scenario(const std::string& spec, Rng& rng) {
   const auto [name, params] = validate_scenario_spec(spec);
   return ScenarioRegistry::instance().at(name).build(params, rng);

@@ -64,6 +64,10 @@ std::pair<std::string, ParamBag> parse_scenario_spec(const std::string& spec);
 std::pair<std::string, ParamBag> validate_scenario_spec(
     const std::string& spec);
 
+/// True for a "file" spec, whose graph ignores the Rng (every seed reads
+/// the same file). Reads only the name, so the spec must be valid.
+bool is_file_spec(const std::string& spec);
+
 /// Validates the spec (as above), then builds the graph.
 Graph build_scenario(const std::string& spec, Rng& rng);
 

@@ -114,13 +114,6 @@ std::string why_not_planar(const GraphProbe& probe) {
   return "";
 }
 
-std::string why_not_k(const EligibilityQuery& q, Vertex needed,
-                      const char* what) {
-  if (q.k >= needed) return "";
-  return std::string("needs ") + what + " >= " + std::to_string(needed) +
-         ", got " + std::to_string(q.k);
-}
-
 // Degeneracy <= d certifies that peeling at threshold d cannot stall
 // (and that arboricity <= d, mad <= 2d).
 std::string why_not_degenerate(const GraphProbe& probe, Vertex d,
@@ -266,10 +259,7 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                                            sparse_options(req, ctx));
          },
          {},
-         [](const EligibilityQuery& q) {
-           const std::string planar = why_not_planar(*q.probe);
-           return planar.empty() ? why_not_k(q, 6, "k") : planar;
-         },
+         [](const EligibilityQuery& q) { return why_not_planar(*q.probe); },
          [](const ParamBag&) { return Vertex{6}; }});
   r.add({"planar4-trianglefree",
          "Corollary 2.3(2): 4-list-coloring of triangle-free planar graphs",
@@ -283,7 +273,7 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
            const std::string planar = why_not_planar(*q.probe);
            if (!planar.empty()) return planar;
            if (!q.probe->triangle_free) return std::string("has a triangle");
-           return why_not_k(q, 4, "k");
+           return std::string();
          },
          [](const ParamBag&) { return Vertex{4}; }});
   r.add({"planar3-girth6",
@@ -300,7 +290,7 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
            if (q.probe->girth_floor < 6)
              return "girth " + std::to_string(q.probe->girth_floor) +
                     " < 6";
-           return why_not_k(q, 3, "k");
+           return std::string();
          },
          [](const ParamBag&) { return Vertex{3}; }});
   r.add({"arboricity",
@@ -323,7 +313,7 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
              return "certified arboricity bound " +
                     std::to_string(q.probe->arboricity_upper) +
                     " > promised arboricity " + std::to_string(a);
-           return why_not_k(q, 2 * a, "k");
+           return std::string();
          },
          [](const ParamBag& p) {
            const std::int64_t a = p.get_int("arboricity", -1);
@@ -343,8 +333,7 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
            if (genus < 1)
              return std::string("needs param genus=... (>= 1); the probe "
                                 "cannot certify a genus promise");
-           return why_not_k(
-               q, heawood_list_bound(static_cast<Vertex>(genus)), "k");
+           return std::string();
          },
          [](const ParamBag& p) {
            const std::int64_t genus = p.get_int("genus", -1);
@@ -371,8 +360,7 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
            if (!heawood_bound_is_tight(static_cast<Vertex>(genus)))
              return "genus " + std::to_string(genus) +
                     " is not sharp (24*genus+1 must be a perfect square)";
-           return why_not_k(
-               q, heawood_list_bound(static_cast<Vertex>(genus)) - 1, "k");
+           return std::string();
          },
          [](const ParamBag& p) {
            const std::int64_t genus = p.get_int("genus", -1);

@@ -7,16 +7,6 @@
 
 namespace scol {
 
-namespace {
-
-// Specs were validated upstream (build_scenario re-validates anyway), so
-// reading the scenario name is a prefix check.
-bool is_file_spec(const std::string& spec) {
-  return spec.substr(0, spec.find(':')) == "file";
-}
-
-}  // namespace
-
 const GraphProbe& GraphEntry::probe(const ProbeOptions& options) {
   SCOL_REQUIRE(graph_ != nullptr, + "probe() needs a built graph");
   std::call_once(probe_once_,
@@ -77,12 +67,19 @@ std::shared_ptr<GraphEntry> GraphStore::get_scenario(const std::string& spec,
     stats_.build_ms += ms;
     // Index by content only if this entry still owns its key (a tiny
     // capacity can evict an entry while it builds; the evicted build
-    // stays usable for its requesters, just unindexed).
+    // stays usable for its requesters, just unindexed). Twins are all
+    // indexed: a digest finds its graph while any of them is resident.
     const auto* owner = entries_.peek(key);
-    if (entry->graph_ != nullptr && owner != nullptr && *owner == entry)
-      entry->indexed_ = by_digest_.emplace(entry->digest_, entry).second;
+    if (entry->graph_ != nullptr && owner != nullptr && *owner == entry) {
+      by_digest_[entry->digest_].push_back(entry);
+      entry->indexed_ = true;
+    }
     entries_.evict_to(capacity_, [&](std::shared_ptr<GraphEntry>& victim) {
-      if (victim->indexed_) by_digest_.erase(victim->digest_);
+      if (victim->indexed_) {
+        const auto twins = by_digest_.find(victim->digest_);
+        std::erase(twins->second, victim);
+        if (twins->second.empty()) by_digest_.erase(twins);
+      }
       ++stats_.evictions;
     });
     stats_.entries = entries_.size();
@@ -118,7 +115,7 @@ std::shared_ptr<GraphEntry> GraphStore::find_digest(const Digest& digest) {
     return nullptr;
   }
   ++stats_.hits;
-  return it->second;
+  return it->second.front();
 }
 
 GraphStoreStats GraphStore::stats() const {

@@ -36,6 +36,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "scol/graph/graph.h"
 #include "scol/io/probe.h"
@@ -135,7 +136,7 @@ class GraphEntry {
   Digest digest_;
   std::shared_ptr<const Graph> graph_;
   std::string error_;
-  bool indexed_ = false;  // owns its digest in by_digest_; guarded by mu_
+  bool indexed_ = false;  // listed in by_digest_; guarded by mu_
   std::once_flag build_once_;
   std::once_flag probe_once_;
   std::optional<GraphProbe> probe_;
@@ -171,8 +172,9 @@ class GraphStore {
   std::optional<GraphIdentity> identity(const std::string& spec,
                                         std::uint64_t seed);
 
-  /// Content-addressed lookup: the resident entry with this digest, or
-  /// nullptr (the store never rebuilds from a digest — it cannot).
+  /// Content-addressed lookup: a resident entry with this digest (the
+  /// oldest, when several specs built the same graph), or nullptr (the
+  /// store never rebuilds from a digest — it cannot).
   std::shared_ptr<GraphEntry> find_digest(const Digest& digest);
 
   GraphStoreStats stats() const;
@@ -182,7 +184,8 @@ class GraphStore {
   const std::size_t identity_capacity_;
   mutable std::mutex mu_;
   LruMap<Key, std::shared_ptr<GraphEntry>> entries_;
-  std::map<Digest, std::shared_ptr<GraphEntry>> by_digest_;
+  // Every resident built entry by digest, oldest first (twins share one).
+  std::map<Digest, std::vector<std::shared_ptr<GraphEntry>>> by_digest_;
   LruMap<Key, GraphIdentity> identities_;
   GraphStoreStats stats_;
 };

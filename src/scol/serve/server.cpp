@@ -34,56 +34,38 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-// Same shape as the "probe" object in `scol-cli probe` output, plus the
-// serving envelope's graph identity (digest + cache verdict).
+// The "probe" object of `scol-cli probe` output, after the serving
+// envelope's graph identity (digest + cache verdict).
 Json probe_json(const GraphProbe& p, const Digest& digest, bool graph_hit) {
   Json out = Json::object();
   out.set("hash", Json::str(digest.hex()));
   out.set("graph_cache", Json::str(graph_hit ? "hit" : "miss"));
-  out.set("n", Json::integer(p.n));
-  out.set("m", Json::integer(p.m));
-  out.set("max_degree", Json::integer(p.max_degree));
-  out.set("degeneracy", Json::integer(p.degeneracy));
-  out.set("degeneracy_exact", Json::boolean(p.degeneracy_exact));
-  out.set("degeneracy_lower", Json::integer(p.degeneracy_lower));
-  out.set("sampled", Json::boolean(p.sampled));
-  out.set("mad_upper", Json::real(p.mad_upper));
-  out.set("mad_exact", Json::boolean(p.mad_exact));
-  out.set("arboricity_upper", Json::integer(p.arboricity_upper));
-  out.set("arboricity_exact", Json::boolean(p.arboricity_exact));
-  out.set("components", Json::integer(p.components));
-  out.set("connected", Json::boolean(p.connected));
-  out.set("forest", Json::boolean(p.forest));
-  out.set("complete", Json::boolean(p.complete));
-  out.set("girth", Json::integer(p.girth));
-  out.set("girth_floor", Json::integer(p.girth_floor));
-  out.set("triangle_free", Json::boolean(p.triangle_free));
-  out.set("planar", Json::str(to_string(p.planar)));
+  const Json facts = to_json(p);
+  for (const auto& [key, value] : facts.members()) out.set(key, value);
   return out;
 }
 
+// A hash names only a resident graph: the store cannot rebuild from one.
+std::shared_ptr<GraphEntry> resident(GraphStore& store, const Digest& digest) {
+  auto entry = store.find_digest(digest);
+  SCOL_REQUIRE(entry != nullptr,
+               + ("no resident graph with hash '" + digest.hex() + "'"));
+  return entry;
+}
+
 // The canonical report-cache key. It reads the graph only through its
-// identity (digest, and max degree for k_eff), so a generator spec's key
-// is known without its graph. Keyed on RESOLVED values (k_eff,
-// palette_eff, normalized lists mode): an explicit `k` equal to the
-// auto-k, or a don't-care lists mode on a no-lists algorithm, lands on
-// the same entry — the report echoes resolved values, so sharing is
-// byte-safe.
+// identity (digest, and max degree for the run's shape), so a generator
+// spec's key is known without its graph. Keyed on the RESOLVED shape: an
+// explicit `k` equal to the auto-k, or a lists mode on a no-lists
+// algorithm, lands on the same entry — the report echoes resolved values.
 std::string report_key(const OneShotSpec& spec, const Digest& digest,
                        Vertex max_degree) {
-  const AlgorithmInfo& info = AlgorithmRegistry::instance().at(spec.algorithm);
-  const Vertex k_eff = effective_k(info, spec.k, max_degree, spec.params);
-  std::string lists = "-";
-  Color palette_eff = -1;
-  if (info.caps.needs_lists) {
-    lists = spec.lists_mode;
-    if (spec.lists_mode == "random")
-      palette_eff =
-          spec.palette > 0 ? spec.palette : static_cast<Color>(4 * k_eff);
-  }
+  const RunShape shape =
+      run_shape(AlgorithmRegistry::instance().at(spec.algorithm), spec.k,
+                spec.lists_mode, spec.palette, max_degree, spec.params);
   return digest.hex() + '|' + spec.scenario + '|' + spec.algorithm + '|' +
-         std::to_string(spec.seed) + '|' + std::to_string(k_eff) + '|' +
-         lists + '|' + std::to_string(palette_eff) + '|' +
+         std::to_string(spec.seed) + '|' + std::to_string(shape.k) + '|' +
+         shape.lists + '|' + std::to_string(shape.palette) + '|' +
          std::to_string(spec.round_budget) + '|' +
          (spec.with_coloring ? "c" : "-") + '|' +
          canonical_params(spec.params);
@@ -165,10 +147,7 @@ bool Server::serve_stream(std::istream& in, std::ostream& out) {
           std::shared_ptr<GraphEntry> entry;
           bool graph_hit = false;
           if (p.req.digest.has_value()) {
-            entry = store_.find_digest(*p.req.digest);
-            SCOL_REQUIRE(entry != nullptr,
-                         + ("no resident graph with hash '" +
-                            p.req.digest->hex() + "'"));
+            entry = resident(store_, *p.req.digest);
             graph_hit = true;
           } else {
             entry = store_.get_scenario(p.req.spec.scenario,
@@ -278,10 +257,7 @@ void Server::flush(std::vector<Pending>& batch, std::ostream& out) {
     if (!p.error.empty() || p.report_hit) continue;
     try {
       if (p.req.digest.has_value()) {
-        p.entry = store_.find_digest(*p.req.digest);
-        SCOL_REQUIRE(p.entry != nullptr,
-                     + ("no resident graph with hash '" +
-                        p.req.digest->hex() + "'"));
+        p.entry = resident(store_, *p.req.digest);
         // The report echoes a scenario spec; for content-addressed
         // requests that echo is the digest itself.
         p.req.spec.scenario = "hash:" + p.req.digest->hex();

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "scol/api/oneshot.h"
 #include "scol/scol.h"
 
 namespace scol {
@@ -113,6 +114,37 @@ TEST(Campaign, ByteIdenticalAcrossJobExecutors) {
   // The summary is deterministic apart from wall-time quantiles.
   EXPECT_NE(serial_result.summary.dump().find("\"per_algorithm\""),
             std::string::npos);
+}
+
+TEST(Campaign, LinesMatchOneShotReports) {
+  // A campaign line is the one-shot report of the same request plus the
+  // campaign's own fields: restricted to the one-shot report's keys, the
+  // two are the same bytes — same k, same lists, same answer.
+  CampaignSpec spec;
+  spec.scenarios = {"regular:n=40,d=4"};
+  spec.algorithms = {"randomized", "degeneracy-list", "greedy"};
+  spec.seeds = 2;
+  for (const std::string mode : {"uniform", "random"}) {
+    spec.lists_mode = mode;
+    spec.palette = mode == "random" ? 12 : -1;
+    const auto lines = run_lines(spec, CampaignOptions{});
+    ASSERT_EQ(lines.size(), 6u);
+    for (const auto& text : lines) {
+      const Json line = Json::parse(text);
+      OneShotSpec one;
+      one.scenario = spec.scenarios[0];
+      one.algorithm = line.get("algorithm")->as_str();
+      one.lists_mode = spec.lists_mode;
+      one.palette = spec.palette;
+      one.seed = static_cast<std::uint64_t>(line.get("seed")->as_int());
+      one.include_timing = false;
+      const Json report = one_shot_report(one);
+      Json restricted = Json::object();
+      for (const auto& [key, value] : line.members())
+        if (report.get(key) != nullptr) restricted.set(key, value);
+      EXPECT_EQ(restricted.dump(), report.dump()) << mode << ": " << text;
+    }
+  }
 }
 
 TEST(Campaign, ShardsRecombineIntoTheFullStream) {

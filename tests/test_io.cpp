@@ -935,6 +935,33 @@ TEST(Eligibility, PlanarFamilyRequiresCertifiedStructure) {
   EXPECT_EQ(skip_reason("planar3-girth6", hexp, 3), "");
 }
 
+TEST(Eligibility, FixedPaletteAlgorithmsNameTheirMinimumK) {
+  // An explicit k below an algorithm's fixed minimum (min_k) is skipped
+  // with the same reason for all six, once the structure is eligible.
+  const GraphProbe planar_grid = probe_graph(grid(5, 5));
+  const GraphProbe hexp = probe_graph(hex_patch(4, 4));
+  ParamBag arboricity2, genus2;
+  arboricity2.set_int("arboricity", 2);
+  genus2.set_int("genus", 2);
+  EXPECT_EQ(skip_reason("planar6", planar_grid, 5), "needs k >= 6, got 5");
+  EXPECT_EQ(skip_reason("planar4-trianglefree", planar_grid, 3),
+            "needs k >= 4, got 3");
+  EXPECT_EQ(skip_reason("planar3-girth6", hexp, 2), "needs k >= 3, got 2");
+  EXPECT_EQ(skip_reason("arboricity", planar_grid, 3, arboricity2),
+            "needs k >= 4, got 3");
+  EXPECT_EQ(skip_reason("genus", planar_grid, 6, genus2),
+            "needs k >= 7, got 6");
+  EXPECT_EQ(skip_reason("genus-sharp", planar_grid, 5, genus2),
+            "needs k >= 6, got 5");
+  // At the minimum every one of them is eligible.
+  EXPECT_EQ(skip_reason("planar6", planar_grid, 6), "");
+  EXPECT_EQ(skip_reason("planar4-trianglefree", planar_grid, 4), "");
+  EXPECT_EQ(skip_reason("planar3-girth6", hexp, 3), "");
+  EXPECT_EQ(skip_reason("arboricity", planar_grid, 4, arboricity2), "");
+  EXPECT_EQ(skip_reason("genus", planar_grid, 7, genus2), "");
+  EXPECT_EQ(skip_reason("genus-sharp", planar_grid, 6, genus2), "");
+}
+
 TEST(Eligibility, ParamGatedAlgorithmsAskForTheirParams) {
   const GraphProbe p = probe_graph(grid(5, 5));
   EXPECT_CONTAINS(skip_reason("genus", p, 7), "needs param genus");

@@ -502,6 +502,56 @@ TEST(Server, FileSpecsAndHashRequestsStillNeedResidentGraphs) {
             std::string::npos);
 }
 
+TEST(Server, EvictedTwinLeavesItsDigestFindable) {
+  // grid and grid:rows=20,cols=20 build one graph twice. petersen evicts
+  // grid, the first of the twins; its digest must still name the twin
+  // that stays resident.
+  ServerOptions tight;
+  tight.graph_cache_capacity = 2;
+  tight.max_batch = 1;
+  const std::string grid =
+      Json::parse(serve({R"({"algo":"greedy","gen":"grid"})"})[0])
+          .get("cache")->get("hash")->as_str();
+  const auto lines = serve(
+      {
+          R"({"id":1,"algo":"greedy","gen":"grid"})",
+          R"({"id":2,"algo":"greedy","gen":"grid:rows=20,cols=20"})",
+          R"({"id":3,"algo":"greedy","gen":"petersen"})",
+          R"({"id":4,"algo":"dsatur","hash":")" + grid + R"("})",
+          R"({"id":5,"op":"probe","hash":")" + grid + R"("})",
+          R"({"id":6,"op":"stats"})",
+      },
+      tight);
+  ASSERT_EQ(lines.size(), 6u);
+  const Json by_hash = Json::parse(lines[3]);
+  ASSERT_TRUE(by_hash.get("ok")->as_bool()) << lines[3];
+  EXPECT_EQ(by_hash.get("cache")->get("hash")->as_str(), grid);
+  const Json probe = Json::parse(lines[4]);
+  ASSERT_TRUE(probe.get("ok")->as_bool()) << lines[4];
+  EXPECT_EQ(probe.get("probe")->get("hash")->as_str(), grid);
+  EXPECT_EQ(probe.get("probe")->get("n")->as_int(), 400);
+  const Json stats = Json::parse(lines[5]);
+  const Json* graphs = stats.get("stats")->get("graphs");
+  EXPECT_EQ(graphs->get("builds")->as_int(), 3);
+  EXPECT_EQ(graphs->get("entries")->as_int(), 2);
+  EXPECT_EQ(graphs->get("evictions")->as_int(), 1);
+}
+
+TEST(Server, UnknownHashErrorNamesOnlyTheHash) {
+  const std::string unknown(32, 'f');
+  const auto lines = serve({
+      R"({"id":1,"algo":"greedy","hash":")" + unknown + R"("})",
+      R"({"id":2,"op":"probe","hash":")" + unknown + R"("})",
+  });
+  ASSERT_EQ(lines.size(), 2u);
+  for (const auto& line : lines) {
+    const Json reply = Json::parse(line);
+    EXPECT_FALSE(reply.get("ok")->as_bool());
+    EXPECT_EQ(reply.get("error")->as_str(),
+              "no resident graph with hash '" + unknown + "'");
+  }
+}
+
 /// A response without its telemetry block (latencies are diagnostics and
 /// differ between runs); everything else must match byte for byte.
 std::string without_telemetry(const std::string& line) {

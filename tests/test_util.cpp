@@ -20,14 +20,30 @@ TEST(Check, ThrowsTypedErrors) {
   EXPECT_NO_THROW(SCOL_CHECK(true));
 }
 
-TEST(Check, MessagesContainContext) {
+TEST(Check, RequireReadsAsItsMessage) {
   try {
     SCOL_REQUIRE(1 == 2, + "custom context");
     FAIL();
   } catch (const PreconditionError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("custom context"), std::string::npos);
-    EXPECT_NE(what.find("1 == 2"), std::string::npos);
+    EXPECT_STREQ(e.what(), "custom context");
+  }
+  try {
+    SCOL_REQUIRE(1 == 2);
+    FAIL();
+  } catch (const PreconditionError& e) {
+    EXPECT_STREQ(e.what(), "requirement failed: 1 == 2");
+  }
+}
+
+TEST(Check, CheckNamesExpressionAndRepoRelativeLocation) {
+  const int line = __LINE__ + 2;
+  try {
+    SCOL_CHECK(1 == 2, + "bug");
+    FAIL();
+  } catch (const InternalError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "SCOL_CHECK failed: 1 == 2 at tests/test_util.cpp:" +
+                  std::to_string(line) + " — bug");
   }
 }
 
