@@ -336,69 +336,72 @@ CampaignResult run_campaign(const CampaignSpec& spec,
           continue;
         }
 
-        ColoringRequest req;
-        req.graph = graph;
-        req.algorithm = info.name;
-        req.params = merged_params(spec, info.name);
-        run.shape = run_shape(info, spec.k, spec.lists_mode, spec.palette,
-                              graph->max_degree(), req.params);
-        req.k = run.shape.k;
+        // All of a job's work runs in this try, so a bad cell (a palette
+        // smaller than its k, params its color bound refuses) becomes
+        // one failed line instead of aborting the campaign.
+        const ListAssignment* lists = nullptr;
+        try {
+          ColoringRequest req;
+          req.graph = graph;
+          req.algorithm = info.name;
+          req.params = merged_params(spec, info.name);
+          run.shape = run_shape(info, spec.k, spec.lists_mode, spec.palette,
+                                graph->max_degree(), req.params);
+          req.k = run.shape.k;
 
-        // Probe filter: answer ineligible cells without solving. The
-        // probe is a pure function of the graph, so the verdict — and
-        // the stream — stays bit-identical across executors and shards.
-        if (spec.probe && info.precondition) {
-          if (probe == nullptr) {
-            if (file_backed) {
-              // Once-memoized on the entry; file_entry stays alive for
-              // this whole instance, so the reference is stable.
-              probe = &file_entry->probe(spec.probe_options);
-            } else {
-              local_probe = probe_graph(*graph, spec.probe_options);
-              probe = &*local_probe;
+          // Probe filter: answer ineligible cells without solving. The
+          // probe is a pure function of the graph, so the verdict — and
+          // the stream — stays bit-identical across executors and shards.
+          if (spec.probe && info.precondition) {
+            if (probe == nullptr) {
+              if (file_backed) {
+                // Once-memoized on the entry; file_entry stays alive for
+                // this whole instance, so the reference is stable.
+                probe = &file_entry->probe(spec.probe_options);
+              } else {
+                local_probe = probe_graph(*graph, spec.probe_options);
+                probe = &*local_probe;
+              }
+            }
+            run.skip_reason = algorithm_skip_reason(
+                info, EligibilityQuery{probe, &req.params, run.shape.k});
+            if (!run.skip_reason.empty()) {
+              // A skipped cell builds no lists, so its line echoes none.
+              run.shape = RunShape{run.shape.k};
+              run.skipped = true;
+              run.report.algorithm = info.name;
+              runs.push_back(std::move(run));
+              continue;
             }
           }
-          run.skip_reason = algorithm_skip_reason(
-              info, EligibilityQuery{probe, &req.params, run.shape.k});
-          if (!run.skip_reason.empty()) {
-            // A skipped cell builds no lists, so its line echoes none.
-            run.shape = RunShape{run.shape.k};
-            run.skipped = true;
-            run.report.algorithm = info.name;
-            runs.push_back(std::move(run));
-            continue;
+
+          if (info.caps.needs_lists) {
+            auto it = std::find_if(
+                lists_cache.begin(), lists_cache.end(),
+                [&](const auto& cached) { return cached.first == run.shape; });
+            if (it == lists_cache.end())
+              it = lists_cache.emplace(
+                  it, run.shape,
+                  build_lists(run.shape, graph->num_vertices(), seed));
+            lists = &it->second;
+            req.lists = lists;
           }
-        }
 
-        const ListAssignment* lists = nullptr;
-        if (info.caps.needs_lists) {
-          auto it = std::find_if(
-              lists_cache.begin(), lists_cache.end(),
-              [&](const auto& cached) { return cached.first == run.shape; });
-          if (it == lists_cache.end())
-            it = lists_cache.emplace(
-                it, run.shape,
-                build_lists(run.shape, graph->num_vertices(), seed));
-          lists = &it->second;
-          req.lists = lists;
-        }
-
-        RunContext ctx;  // single-threaded per job (sharded or serial)
-        ctx.executor = sharded_exec ? &*sharded_exec : nullptr;
-        ctx.seed = seed;
-        ctx.round_budget = spec.round_budget;
-        ctx.arena = worker_arena;
-        const auto start = std::chrono::steady_clock::now();
-        try {
+          RunContext ctx;  // single-threaded per job (sharded or serial)
+          ctx.executor = sharded_exec ? &*sharded_exec : nullptr;
+          ctx.seed = seed;
+          ctx.round_budget = spec.round_budget;
+          ctx.arena = worker_arena;
+          const auto start = std::chrono::steady_clock::now();
           run.report = solve(req, ctx);
+          run.real_wall_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+          run.bound = info.color_bound ? info.color_bound(req) : -1;
         } catch (const std::exception& e) {
           run.report = ColoringReport::failed(e.what());
           run.report.algorithm = info.name;
         }
-        run.real_wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-        run.bound = info.color_bound ? info.color_bound(req) : -1;
         oracle_check_job(*graph, lists, run);
         runs.push_back(std::move(run));
       }

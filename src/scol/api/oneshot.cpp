@@ -40,6 +40,9 @@ RunShape run_shape(const AlgorithmInfo& info, Vertex k,
   } else {
     shape.lists = "random";
     shape.palette = palette > 0 ? palette : static_cast<Color>(4 * shape.k);
+    SCOL_REQUIRE(shape.palette >= shape.k,
+                 + ("palette " + std::to_string(shape.palette) +
+                    " is smaller than k " + std::to_string(shape.k)));
   }
   return shape;
 }

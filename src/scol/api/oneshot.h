@@ -49,7 +49,8 @@ struct RunShape {
 
 /// `info`'s shape for a requested k (-1 = auto, see effective_k), lists
 /// mode ("uniform" | "random", else PreconditionError) and palette (<= 0
-/// = 4k) on a graph of `max_degree`; lists "none" when it takes none.
+/// = 4k; PreconditionError when smaller than k) on a graph of
+/// `max_degree`; lists "none" when it takes none.
 RunShape run_shape(const AlgorithmInfo& info, Vertex k,
                    const std::string& lists_mode, Color palette,
                    Vertex max_degree, const ParamBag& params);

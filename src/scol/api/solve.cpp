@@ -22,6 +22,8 @@
 namespace scol {
 namespace {
 
+using RunFn = std::function<ColoringReport(const ColoringRequest&, RunContext&)>;
+
 // --- Shared request decoding helpers. ---
 
 SparseOptions sparse_options(const ColoringRequest& req, RunContext& ctx) {
@@ -34,13 +36,84 @@ SparseOptions sparse_options(const ColoringRequest& req, RunContext& ctx) {
   return opts;
 }
 
-// d for the Theorem 1.3 family: explicit param, then request.k, then the
-// min list size.
-Vertex sparse_d(const ColoringRequest& req) {
-  const std::int64_t from_param = req.params.get_int("d", -1);
-  if (from_param > 0) return static_cast<Vertex>(from_param);
-  if (req.k > 0) return req.k;
-  return static_cast<Vertex>(req.lists->min_list_size());
+// The Theorem 1.3 family's run: `solver(graph, lists, options)`, or, with
+// a `param` decoder, `solver(graph, param(request), lists, options)`.
+template <typename Solver>
+RunFn lists_run(Solver solver) {
+  return [solver](const ColoringRequest& req, RunContext& ctx) {
+    return solver(*req.graph, *req.lists, sparse_options(req, ctx));
+  };
+}
+template <typename Solver, typename Param>
+RunFn lists_run(Solver solver, Param param) {
+  return [solver, param](const ColoringRequest& req, RunContext& ctx) {
+    return solver(*req.graph, param(req), *req.lists,
+                  sparse_options(req, ctx));
+  };
+}
+
+// --- One decoder per parameter. run, color_bound, precondition and
+// min_k read a parameter only through its decoder, so the run and the
+// probe filter cannot disagree about its value. ---
+
+// d for the Theorem 1.3 family: a positive param d, else k, else (when
+// lists are given) the min list size.
+Vertex sparse_d(const ParamBag& p, Vertex k, const ListAssignment* lists) {
+  const std::int64_t d = p.get_int("d", -1);
+  if (d > 0) return static_cast<Vertex>(d);
+  if (k > 0 || lists == nullptr) return k;
+  return static_cast<Vertex>(lists->min_list_size());
+}
+
+// GPS peel threshold: param threshold, else k - 1, else 6 (planar).
+Vertex gps_threshold(const ParamBag& p, Vertex k) {
+  return static_cast<Vertex>(p.get_int("threshold", k > 0 ? k - 1 : 6));
+}
+
+// Promised arboricity: param arboricity, else `fallback`.
+Vertex arboricity_param(const ParamBag& p, Vertex fallback) {
+  return static_cast<Vertex>(p.get_int("arboricity", fallback));
+}
+
+// Corollary 1.4's a: param arboricity, else k / 2 (k = 2a).
+Vertex corollary14_a(const ParamBag& p, Vertex k) {
+  return arboricity_param(p, k > 0 ? k / 2 : -1);
+}
+
+// Barenboim–Elkin's promise: arboricity (-1 when missing) and eps.
+struct HPartitionParams {
+  Vertex a;
+  double eps;
+};
+
+HPartitionParams h_partition_params(const ParamBag& p) {
+  return {arboricity_param(p, -1), p.get_real("eps", 1.0)};
+}
+
+// Promised Euler genus (-1 when missing).
+Vertex genus_param(const ParamBag& p) {
+  return static_cast<Vertex>(p.get_int("genus", -1));
+}
+
+// A decoded param `key` that the run cannot do without.
+Vertex required_param(const ColoringRequest& req, const char* key,
+                      Vertex value) {
+  SCOL_REQUIRE(value > 0, + (std::string("algorithm '") + req.algorithm +
+                             "' needs param '" + key + "'"));
+  return value;
+}
+
+std::int64_t node_budget(const ColoringRequest& req) {
+  return req.params.get_int("node_budget", 50'000'000);
+}
+
+// Propose/resolve iteration cap: half the round budget (two LOCAL rounds
+// per iteration), else `fallback`.
+int iteration_cap(const RunContext& ctx, int fallback) {
+  if (ctx.round_budget > 0)
+    return static_cast<int>(
+        std::max<std::int64_t>(1, ctx.round_budget / 2));
+  return fallback;
 }
 
 std::vector<Vertex> identity_order(Vertex n) {
@@ -60,13 +133,6 @@ ColoringReport from_exact(std::optional<Coloring> c) {
   ColoringReport out;
   out.status = SolveStatus::kInfeasible;
   return out;
-}
-
-Vertex required_int(const ColoringRequest& req, const char* key) {
-  const std::int64_t v = req.params.get_int(key, -1);
-  SCOL_REQUIRE(v > 0, + (std::string("algorithm '") + req.algorithm +
-                         "' needs param '" + key + "'"));
-  return static_cast<Vertex>(v);
 }
 
 AlgorithmCaps caps(bool needs_lists, bool uses_k, bool randomized,
@@ -123,6 +189,23 @@ std::string why_not_degenerate(const GraphProbe& probe, Vertex d,
          " > " + what + " " + std::to_string(d);
 }
 
+// (deg + 1)-lists: uniform k-lists qualify iff k > max degree.
+std::string why_not_deg_plus_one_lists(const EligibilityQuery& q) {
+  return why_not_k(q, q.probe->max_degree + 1, "k");
+}
+
+// Greedy in degeneracy order succeeds when every list beats the
+// degeneracy.
+std::string why_not_degeneracy_plus_one_lists(const EligibilityQuery& q) {
+  return why_not_k(q, q.probe->degeneracy + 1, "k");
+}
+
+std::string why_not_genus(Vertex genus) {
+  if (genus >= 1) return "";
+  return "needs param genus=... (>= 1); the probe cannot certify a genus "
+         "promise";
+}
+
 // --- Palette sparsification wrappers (coloring/sparsify.h). ---
 //
 // Each `*-sparsified` algorithm retries its base solver on a few
@@ -132,24 +215,6 @@ std::string why_not_degenerate(const GraphProbe& probe, Vertex d,
 // sampling and solving randomness derives from one value of the
 // context's seed through per-(vertex, attempt) / per-(vertex, round)
 // streams — reports are bit-identical across executors and shards.
-
-struct SparsifySetup {
-  double c = 4.0;             // param sparsify_c
-  std::int64_t attempts = 3;  // param sparsify_attempts
-  Vertex target = 0;          // sparsify_target(n, c)
-  std::uint64_t root = 0;     // all sparsify randomness derives from this
-};
-
-SparsifySetup sparsify_setup(const ColoringRequest& req, RunContext& ctx) {
-  SparsifySetup s;
-  s.c = req.params.get_real("sparsify_c", s.c);
-  s.attempts = std::max<std::int64_t>(
-      1, req.params.get_int("sparsify_attempts", s.attempts));
-  s.target = sparsify_target(req.graph->num_vertices(), s.c);
-  Rng rng = ctx.make_rng();
-  s.root = rng.next();
-  return s;
-}
 
 // The shared retry loop: run `attempt` on up to `attempts` sampled
 // sub-assignments, else `fallback` on the full lists. The metrics bag
@@ -163,18 +228,23 @@ ColoringReport run_sparsified(
         const ListAssignment& sampled, std::uint64_t attempt_seed,
         std::int64_t* rounds)>& attempt,
     const std::function<ColoringReport()>& fallback) {
-  const SparsifySetup s = sparsify_setup(req, ctx);
+  const double c = req.params.get_real("sparsify_c", 4.0);
+  const std::int64_t attempts = std::max<std::int64_t>(
+      1, req.params.get_int("sparsify_attempts", 3));
+  const Vertex target = sparsify_target(req.graph->num_vertices(), c);
+  Rng rng = ctx.make_rng();
+  const std::uint64_t root = rng.next();  // all sparsify randomness
   std::int64_t attempt_rounds = 0;
   std::int64_t attempts_run = 0;
   std::size_t sampled_colors = 0;
   std::optional<Coloring> found;
-  for (std::int64_t a = 0; a < s.attempts && !found.has_value(); ++a) {
+  for (std::int64_t a = 0; a < attempts && !found.has_value(); ++a) {
     const ListAssignment sampled = sparsify_palette(
-        *req.lists, s.target, s.root, static_cast<std::uint64_t>(a));
+        *req.lists, target, root, static_cast<std::uint64_t>(a));
     sampled_colors = sampled.flat().size();
     // Decorrelated from the sampling streams (different base seed).
     const std::uint64_t attempt_seed =
-        Rng::stream(~s.root, static_cast<std::uint64_t>(a)).next();
+        Rng::stream(~root, static_cast<std::uint64_t>(a)).next();
     std::int64_t rounds = 0;
     found = attempt(sampled, attempt_seed, &rounds);
     attempt_rounds += rounds;
@@ -188,7 +258,7 @@ ColoringReport run_sparsified(
     out = fallback();
   }
   if (attempt_rounds > 0) out.ledger.charge("sparsified-attempts", attempt_rounds);
-  out.metrics.set_int("sparsify_target", s.target);
+  out.metrics.set_int("sparsify_target", target);
   out.metrics.set_int("sparsify_attempts", attempts_run);
   out.metrics.set_int("sparsify_fallback", fell_back ? 1 : 0);
   out.metrics.set_int("sparsify_sampled_colors",
@@ -197,16 +267,6 @@ ColoringReport run_sparsified(
                       static_cast<std::int64_t>(req.lists->flat().size()));
   out.sync_derived_fields();
   return out;
-}
-
-// Iteration cap shared by the sparsified attempts: generous for the
-// O(log n) w.h.p. regime, small enough that a pathological sample costs
-// bounded work before the next sample (or the fallback) takes over.
-int sparsify_attempt_cap(const RunContext& ctx) {
-  if (ctx.round_budget > 0)
-    return static_cast<int>(
-        std::max<std::int64_t>(1, ctx.round_budget / 2));
-  return 1000;
 }
 
 AlgorithmCaps sparsified_exact_caps() {
@@ -223,16 +283,18 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          "Theorem 1.3: d-list-coloring for d >= max(3, mad); params: d "
          "(default k or min list size), ball_constant, radius, max_peels",
          caps(true, true, false, true, {"clique"}),
-         [](const ColoringRequest& req, RunContext& ctx) {
-           return report_from_sparse(
-               list_color_sparse(*req.graph, sparse_d(req), *req.lists,
-                                 sparse_options(req, ctx)),
-               "");
-         },
+         lists_run(
+             [](const Graph& g, Vertex d, const ListAssignment& lists,
+                const SparseOptions& opts) {
+               return report_from_sparse(list_color_sparse(g, d, lists, opts),
+                                         "");
+             },
+             [](const ColoringRequest& req) {
+               return sparse_d(req.params, req.k, req.lists);
+             }),
          {},
          [](const EligibilityQuery& q) {
-           const Vertex d = static_cast<Vertex>(
-               q.params->get_int("d", q.k));
+           const Vertex d = sparse_d(*q.params, q.k, nullptr);
            if (d < 3)
              return std::string("needs d >= 3 (param d, or k), got ") +
                     std::to_string(d);
@@ -242,32 +304,21 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          "Theorem 6.1: list-coloring for nice assignments (|L(v)| >= "
          "deg(v), +1 on small-degree/clique-neighborhood vertices)",
          caps(true, false, false, true),
-         [](const ColoringRequest& req, RunContext& ctx) {
-           return nice_list_coloring(*req.graph, *req.lists,
-                                     sparse_options(req, ctx));
-         },
+         lists_run(nice_list_coloring),
          {},
-         [](const EligibilityQuery& q) {
-           // Uniform (max degree + 1)-lists are nice on every graph.
-           return why_not_k(q, q.probe->max_degree + 1, "k");
-         }});
+         // Uniform (max degree + 1)-lists are nice on every graph.
+         why_not_deg_plus_one_lists});
   r.add({"planar6",
          "Corollary 2.3(1): 6-list-coloring of planar graphs",
          caps(true, false, false, true),
-         [](const ColoringRequest& req, RunContext& ctx) {
-           return planar_six_list_coloring(*req.graph, *req.lists,
-                                           sparse_options(req, ctx));
-         },
+         lists_run(planar_six_list_coloring),
          {},
          [](const EligibilityQuery& q) { return why_not_planar(*q.probe); },
          [](const ParamBag&) { return Vertex{6}; }});
   r.add({"planar4-trianglefree",
          "Corollary 2.3(2): 4-list-coloring of triangle-free planar graphs",
          caps(true, false, false, true),
-         [](const ColoringRequest& req, RunContext& ctx) {
-           return triangle_free_planar_four_list_coloring(
-               *req.graph, *req.lists, sparse_options(req, ctx));
-         },
+         lists_run(triangle_free_planar_four_list_coloring),
          {},
          [](const EligibilityQuery& q) {
            const std::string planar = why_not_planar(*q.probe);
@@ -279,10 +330,7 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
   r.add({"planar3-girth6",
          "Corollary 2.3(3): 3-list-coloring of girth >= 6 planar graphs",
          caps(true, false, false, true),
-         [](const ColoringRequest& req, RunContext& ctx) {
-           return girth_six_planar_three_list_coloring(
-               *req.graph, *req.lists, sparse_options(req, ctx));
-         },
+         lists_run(girth_six_planar_three_list_coloring),
          {},
          [](const EligibilityQuery& q) {
            const std::string planar = why_not_planar(*q.probe);
@@ -296,16 +344,13 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
   r.add({"arboricity",
          "Corollary 1.4: 2a-list-coloring; params: arboricity (or k = 2a)",
          caps(true, true, false, true),
-         [](const ColoringRequest& req, RunContext& ctx) {
-           const Vertex a = static_cast<Vertex>(req.params.get_int(
-               "arboricity", req.k > 0 ? req.k / 2 : -1));
-           return arboricity_list_coloring(*req.graph, a, *req.lists,
-                                           sparse_options(req, ctx));
-         },
+         lists_run(arboricity_list_coloring,
+                   [](const ColoringRequest& req) {
+                     return corollary14_a(req.params, req.k);
+                   }),
          {},
          [](const EligibilityQuery& q) {
-           const Vertex a = static_cast<Vertex>(q.params->get_int(
-               "arboricity", q.k > 0 ? q.k / 2 : -1));
+           const Vertex a = corollary14_a(*q.params, q.k);
            if (a < 2)
              return std::string(
                  "needs arboricity >= 2 (param arboricity, or k = 2a)");
@@ -316,68 +361,50 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
            return std::string();
          },
          [](const ParamBag& p) {
-           const std::int64_t a = p.get_int("arboricity", -1);
-           return a > 0 ? static_cast<Vertex>(2 * a) : Vertex{-1};
+           const Vertex a = corollary14_a(p, -1);
+           return a > 0 ? 2 * a : Vertex{-1};
          }});
+  const auto required_genus = [](const ColoringRequest& req) {
+    return required_param(req, "genus", genus_param(req.params));
+  };
   r.add({"genus",
          "Corollary 2.11: H(gamma)-list-coloring; params: genus",
          caps(true, false, false, true),
-         [](const ColoringRequest& req, RunContext& ctx) {
-           return genus_list_coloring(*req.graph,
-                                      required_int(req, "genus"), *req.lists,
-                                      sparse_options(req, ctx));
-         },
+         lists_run(genus_list_coloring, required_genus),
          {},
          [](const EligibilityQuery& q) {
-           const std::int64_t genus = q.params->get_int("genus", -1);
-           if (genus < 1)
-             return std::string("needs param genus=... (>= 1); the probe "
-                                "cannot certify a genus promise");
-           return std::string();
+           return why_not_genus(genus_param(*q.params));
          },
          [](const ParamBag& p) {
-           const std::int64_t genus = p.get_int("genus", -1);
-           return genus >= 1
-                      ? heawood_list_bound(static_cast<Vertex>(genus))
-                      : Vertex{-1};
+           const Vertex genus = genus_param(p);
+           return genus >= 1 ? heawood_list_bound(genus) : Vertex{-1};
          }});
   r.add({"genus-sharp",
          "Corollary 2.11 (sharp): (H(gamma)-1)-list-coloring or a K_H "
          "certificate; params: genus (with 24*genus+1 a perfect square)",
          caps(true, false, false, true, {"clique"}),
-         [](const ColoringRequest& req, RunContext& ctx) {
-           return genus_list_coloring_sharp(*req.graph,
-                                            required_int(req, "genus"),
-                                            *req.lists,
-                                            sparse_options(req, ctx));
-         },
+         lists_run(genus_list_coloring_sharp, required_genus),
          {},
          [](const EligibilityQuery& q) {
-           const std::int64_t genus = q.params->get_int("genus", -1);
-           if (genus < 1)
-             return std::string("needs param genus=... (>= 1); the probe "
-                                "cannot certify a genus promise");
-           if (!heawood_bound_is_tight(static_cast<Vertex>(genus)))
+           const Vertex genus = genus_param(*q.params);
+           const std::string why = why_not_genus(genus);
+           if (!why.empty()) return why;
+           if (!heawood_bound_is_tight(genus))
              return "genus " + std::to_string(genus) +
                     " is not sharp (24*genus+1 must be a perfect square)";
            return std::string();
          },
          [](const ParamBag& p) {
-           const std::int64_t genus = p.get_int("genus", -1);
-           if (genus < 1 ||
-               !heawood_bound_is_tight(static_cast<Vertex>(genus)))
+           const Vertex genus = genus_param(p);
+           if (genus < 1 || !heawood_bound_is_tight(genus))
              return Vertex{-1};
-           return static_cast<Vertex>(
-               heawood_list_bound(static_cast<Vertex>(genus)) - 1);
+           return static_cast<Vertex>(heawood_list_bound(genus) - 1);
          }});
   r.add({"delta-list",
          "Corollary 2.1: Delta-list-coloring or a no-SDR K_{Delta+1} "
          "certificate (max degree >= 3)",
          caps(true, false, false, true, {"no-sdr-clique"}),
-         [](const ColoringRequest& req, RunContext& ctx) {
-           return delta_list_coloring(*req.graph, *req.lists,
-                                      sparse_options(req, ctx));
-         },
+         lists_run(delta_list_coloring),
          {},
          [](const EligibilityQuery& q) {
            if (q.probe->max_degree < 3)
@@ -399,7 +426,7 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
            if (!q.probe->connected) return std::string("not connected");
            // k >= max degree + 1 gives every vertex surplus, which is
            // case 1 of the construction regardless of Gallai structure.
-           return why_not_k(q, q.probe->max_degree + 1, "k");
+           return why_not_deg_plus_one_lists(q);
          }});
 
   // --- Baselines. ---
@@ -409,19 +436,12 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          caps(true, false, true, true),
          [](const ColoringRequest& req, RunContext& ctx) {
            Rng rng = ctx.make_rng();
-           const int max_rounds =
-               ctx.round_budget > 0
-                   ? static_cast<int>(std::max<std::int64_t>(
-                         1, ctx.round_budget / 2))
-                   : 40'000;
            return randomized_list_coloring(*req.graph, *req.lists, rng,
-                                           nullptr, ctx.executor, max_rounds);
+                                           nullptr, ctx.executor,
+                                           iteration_cap(ctx, 40'000));
          },
          {},
-         [](const EligibilityQuery& q) {
-           // (deg + 1)-lists: uniform k-lists qualify iff k > max degree.
-           return why_not_k(q, q.probe->max_degree + 1, "k");
-         }});
+         why_not_deg_plus_one_lists});
   r.add({"linial",
          "Linial color reduction to a (dmax+1)-coloring (k = palette, "
          "default max degree + 1)",
@@ -446,47 +466,40 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          "(default k-1, else 6 = planar)",
          caps(false, true, false, true),
          [](const ColoringRequest& req, RunContext& ctx) {
-           const Vertex threshold = static_cast<Vertex>(req.params.get_int(
-               "threshold", req.k > 0 ? req.k - 1 : 6));
-           return peel_threshold_coloring(*req.graph, threshold,
-                                          ctx.executor);
+           return peel_threshold_coloring(
+               *req.graph, gps_threshold(req.params, req.k), ctx.executor);
          },
          [](const ColoringRequest& req) {
-           return req.params.get_int("threshold",
-                                     req.k > 0 ? req.k - 1 : 6) +
-                  1;
+           return std::int64_t{gps_threshold(req.params, req.k)} + 1;
          },
          [](const EligibilityQuery& q) {
-           const Vertex threshold = static_cast<Vertex>(q.params->get_int(
-               "threshold", q.k > 0 ? q.k - 1 : 6));
-           return why_not_degenerate(*q.probe, threshold, "peel threshold");
+           return why_not_degenerate(*q.probe, gps_threshold(*q.params, q.k),
+                                     "peel threshold");
          }});
   r.add({"barenboim-elkin",
          "Barenboim-Elkin H-partition coloring: floor((2+eps)a)+1 colors; "
          "params: arboricity, eps (default 1.0)",
          caps(false, false, false, true),
          [](const ColoringRequest& req, RunContext& ctx) {
-           const Vertex a = required_int(req, "arboricity");
-           const double eps = req.params.get_real("eps", 1.0);
+           const HPartitionParams h = h_partition_params(req.params);
+           const Vertex a = required_param(req, "arboricity", h.a);
            ColoringReport out =
-               barenboim_elkin_coloring(*req.graph, a, eps, ctx.executor);
-           out.metrics.set_int("palette", barenboim_elkin_palette(a, eps));
+               barenboim_elkin_coloring(*req.graph, a, h.eps, ctx.executor);
+           out.metrics.set_int("palette", barenboim_elkin_palette(a, h.eps));
            return out;
          },
          [](const ColoringRequest& req) {
-           const std::int64_t a = req.params.get_int("arboricity", -1);
-           if (a <= 0) return std::int64_t{-1};
-           return static_cast<std::int64_t>(barenboim_elkin_palette(
-               static_cast<Vertex>(a), req.params.get_real("eps", 1.0)));
+           const HPartitionParams h = h_partition_params(req.params);
+           if (h.a <= 0) return std::int64_t{-1};
+           return std::int64_t{barenboim_elkin_palette(h.a, h.eps)};
          },
          [](const EligibilityQuery& q) {
-           const std::int64_t a = q.params->get_int("arboricity", -1);
-           if (a <= 0) return std::string("needs param arboricity=...");
+           const HPartitionParams h = h_partition_params(*q.params);
+           if (h.a <= 0) return std::string("needs param arboricity=...");
            // The H-partition peels at degree (2 + eps) * a; degeneracy
            // at or below that threshold certifies termination.
            const Vertex threshold = static_cast<Vertex>(
-               (2.0 + q.params->get_real("eps", 1.0)) *
-               static_cast<double>(a));
+               (2.0 + h.eps) * static_cast<double>(h.a));
            return why_not_degenerate(*q.probe, threshold,
                                      "H-partition threshold");
          }});
@@ -528,9 +541,7 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                "degeneracy greedy found a vertex with no free list color");
          },
          {},
-         [](const EligibilityQuery& q) {
-           return why_not_k(q, q.probe->degeneracy + 1, "k");
-         }});
+         why_not_degeneracy_plus_one_lists});
 
   // --- Palette-sparsified family (arXiv:2301.06457, arXiv:2408.08256):
   // the base solvers on sampled c·log n sub-palettes, full-palette
@@ -542,13 +553,16 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          "sparsify_c (default 4.0), sparsify_attempts (default 3)",
          caps(true, false, true, true),
          [](const ColoringRequest& req, RunContext& ctx) {
-           const int cap = sparsify_attempt_cap(ctx);
+           // Generous for the O(log n) w.h.p. regime, small enough that a
+           // pathological sample costs bounded work before the next
+           // sample (or the fallback) takes over.
+           const int cap = iteration_cap(ctx, 1000);
            return run_sparsified(
                req, ctx,
                [&](const ListAssignment& sampled, std::uint64_t seed,
                    std::int64_t* rounds) {
                  std::int64_t iters = 0;
-                 auto c = sparsified_attempt_coloring(
+                 auto c = propose_resolve_coloring(
                      *req.graph, sampled, seed, ctx.executor, cap, &iters);
                  *rounds = 2 * iters;  // propose + resolve per iteration
                  return c;
@@ -561,10 +575,8 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                });
          },
          {},
-         [](const EligibilityQuery& q) {
-           // The fallback needs (deg+1)-lists, same as `randomized`.
-           return why_not_k(q, q.probe->max_degree + 1, "k");
-         }});
+         // The fallback needs (deg+1)-lists, same as `randomized`.
+         why_not_deg_plus_one_lists});
   r.add({"deglist-sparsified",
          "Degeneracy-order greedy list-coloring on sampled c*log n "
          "sub-palettes, full-list degeneracy greedy fallback; params: "
@@ -585,11 +597,8 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                });
          },
          {},
-         [](const EligibilityQuery& q) {
-           // The fallback succeeds when every list beats the degeneracy,
-           // same as `degeneracy-list`.
-           return why_not_k(q, q.probe->degeneracy + 1, "k");
-         }});
+         // The fallback is `degeneracy-list`.
+         why_not_degeneracy_plus_one_lists});
   r.add({"list-sparsified",
          "Exact MRV list-coloring on sampled c*log n sub-palettes, exact "
          "full-list fallback (which proves infeasibility); params: "
@@ -616,8 +625,7 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                },
                [&]() {
                  return from_exact(find_list_coloring(
-                     *req.graph, *req.lists,
-                     req.params.get_int("node_budget", 50'000'000)));
+                     *req.graph, *req.lists, node_budget(req)));
                });
          },
          {}});
@@ -629,9 +637,8 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          exact_caps(false, true),
          [](const ColoringRequest& req, RunContext&) {
            SCOL_REQUIRE(req.k > 0, + "algorithm 'exact' needs request.k");
-           return from_exact(find_k_coloring(
-               *req.graph, req.k,
-               req.params.get_int("node_budget", 50'000'000)));
+           return from_exact(
+               find_k_coloring(*req.graph, req.k, node_budget(req)));
          },
          [](const ColoringRequest& req) {
            return static_cast<std::int64_t>(req.k);
@@ -645,9 +652,8 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          "Exact list-coloring by MRV backtracking (params: node_budget)",
          exact_caps(true, false),
          [](const ColoringRequest& req, RunContext&) {
-           return from_exact(find_list_coloring(
-               *req.graph, *req.lists,
-               req.params.get_int("node_budget", 50'000'000)));
+           return from_exact(
+               find_list_coloring(*req.graph, *req.lists, node_budget(req)));
          },
          {}});
   r.add({"sdr",
@@ -655,9 +661,8 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          "be one clique; colors by bipartite matching or certifies no SDR",
          caps(true, false, false, false, {"no-sdr-clique"}),
          [](const ColoringRequest& req, RunContext&) {
-           const Vertex n = req.graph->num_vertices();
-           std::vector<Vertex> all(static_cast<std::size_t>(n));
-           for (Vertex v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
+           const std::vector<Vertex> all =
+               identity_order(req.graph->num_vertices());
            SCOL_REQUIRE(is_clique(*req.graph, all),
                         + "algorithm 'sdr' needs a complete graph");
            auto c = color_clique_by_sdr(*req.graph, all, *req.lists);

@@ -7,37 +7,28 @@
 
 namespace scol {
 
-ColoringReport randomized_list_coloring(const Graph& g,
-                                        const ListAssignment& lists, Rng& rng,
-                                        RoundLedger* ledger,
-                                        const Executor* executor,
-                                        int max_rounds) {
+std::optional<Coloring> propose_resolve_coloring(
+    const Graph& g, const ListAssignment& lists, std::uint64_t base_seed,
+    const Executor* executor, int max_rounds, std::int64_t* iterations) {
   const Vertex n = g.num_vertices();
   SCOL_REQUIRE(lists.size() == n);
   SCOL_REQUIRE(lists.canonical(), + "lists must be sorted unique");
-  for (Vertex v = 0; v < n; ++v)
-    SCOL_REQUIRE(static_cast<Vertex>(lists.of(v).size()) >= g.degree(v) + 1,
-                 + "randomized list coloring needs (deg+1)-lists");
-
   const Executor& exec = resolve_executor(executor);
-  // One base seed drawn from the caller's generator; every (vertex, round)
-  // pair then gets its own decorrelated stream, so the draws do not depend
-  // on vertex visitation order and parallel runs match serial runs bit for
-  // bit (and the result is a deterministic function of the caller's seed).
-  const std::uint64_t base_seed = rng.next();
 
   Coloring coloring = empty_coloring(n);
-  std::int64_t iterations = 0;
+  std::int64_t iters = 0;
   std::atomic<std::int64_t> colored{0};
+  // Whether ANY vertex is stuck this round is order-independent, so the
+  // abandon decision is deterministic under every executor.
+  std::atomic<bool> stuck{false};
   std::vector<Color> proposal(static_cast<std::size_t>(n), kUncolored);
 
-  while (colored.load(std::memory_order_relaxed) < n) {
-    SCOL_CHECK(iterations < max_rounds,
-               + "randomized coloring did not converge (astronomically "
-                 "unlikely)");
-    const std::uint64_t round_tag = static_cast<std::uint64_t>(iterations)
-                                    << 32;
-    // Propose: a uniform color from L(v) minus colored neighbors.
+  while (colored.load(std::memory_order_relaxed) < n && iters < max_rounds &&
+         !stuck.load(std::memory_order_relaxed)) {
+    const std::uint64_t round_tag = static_cast<std::uint64_t>(iters) << 32;
+    // Propose: a uniform color from L(v) minus colored neighbors. A list
+    // with no free color is flagged instead of crashing: on short
+    // (sampled) lists that abandons the attempt.
     parallel_for_index(exec, static_cast<std::size_t>(n), [&](std::size_t i) {
       const Vertex v = static_cast<Vertex>(i);
       proposal[i] = kUncolored;
@@ -50,8 +41,12 @@ ColoringReport randomized_list_coloring(const Graph& g,
       std::vector<Color> free;
       for (Color c : lists.of(v))
         if (!blocked.count(c)) free.push_back(c);
-      SCOL_CHECK(!free.empty(), + "(deg+1)-lists always leave a free color");
-      Rng vr = Rng::stream(base_seed, round_tag | static_cast<std::uint64_t>(v));
+      if (free.empty()) {
+        stuck.store(true, std::memory_order_relaxed);
+        return;
+      }
+      Rng vr =
+          Rng::stream(base_seed, round_tag | static_cast<std::uint64_t>(v));
       proposal[i] = free[vr.below(free.size())];
     });
     // Resolve: keep the proposal iff no neighbor proposed the same color.
@@ -75,10 +70,40 @@ ColoringReport randomized_list_coloring(const Graph& g,
           }
           if (local > 0) colored.fetch_add(local, std::memory_order_relaxed);
         });
-    ++iterations;
+    ++iters;
   }
 
-  ColoringReport out = ColoringReport::colored(std::move(coloring));
+  if (iterations != nullptr) *iterations = iters;
+  if (colored.load(std::memory_order_relaxed) < n ||
+      stuck.load(std::memory_order_relaxed))
+    return std::nullopt;
+  return coloring;
+}
+
+ColoringReport randomized_list_coloring(const Graph& g,
+                                        const ListAssignment& lists, Rng& rng,
+                                        RoundLedger* ledger,
+                                        const Executor* executor,
+                                        int max_rounds) {
+  const Vertex n = g.num_vertices();
+  SCOL_REQUIRE(lists.size() == n);
+  for (Vertex v = 0; v < n; ++v)
+    SCOL_REQUIRE(static_cast<Vertex>(lists.of(v).size()) >= g.degree(v) + 1,
+                 + "randomized list coloring needs (deg+1)-lists");
+
+  // One base seed drawn from the caller's generator; every (vertex, round)
+  // pair then gets its own decorrelated stream, so the draws do not depend
+  // on vertex visitation order and parallel runs match serial runs bit for
+  // bit (and the result is a deterministic function of the caller's seed).
+  std::int64_t iterations = 0;
+  std::optional<Coloring> coloring = propose_resolve_coloring(
+      g, lists, rng.next(), executor, max_rounds, &iterations);
+  // (deg+1)-lists always leave a free color, so only the cap can fail.
+  SCOL_CHECK(coloring.has_value(),
+             + "randomized coloring did not converge (astronomically "
+               "unlikely)");
+
+  ColoringReport out = ColoringReport::colored(std::move(*coloring));
   out.ledger.charge("randomized-coloring", 2 * iterations);
   out.metrics.set_int("iterations", iterations);
   out.sync_derived_fields();

@@ -120,15 +120,18 @@ TEST(Campaign, LinesMatchOneShotReports) {
   // A campaign line is the one-shot report of the same request plus the
   // campaign's own fields: restricted to the one-shot report's keys, the
   // two are the same bytes — same k, same lists, same answer.
+  // `sparse` with d=0 falls back to k in the run, so the probe filter
+  // must not skip it either.
   CampaignSpec spec;
   spec.scenarios = {"regular:n=40,d=4"};
-  spec.algorithms = {"randomized", "degeneracy-list", "greedy"};
+  spec.algorithms = {"randomized", "degeneracy-list", "greedy", "sparse"};
+  spec.algo_params.emplace_back("sparse", ParamBag{}.set_int("d", 0));
   spec.seeds = 2;
   for (const std::string mode : {"uniform", "random"}) {
     spec.lists_mode = mode;
     spec.palette = mode == "random" ? 12 : -1;
     const auto lines = run_lines(spec, CampaignOptions{});
-    ASSERT_EQ(lines.size(), 6u);
+    ASSERT_EQ(lines.size(), 8u);
     for (const auto& text : lines) {
       const Json line = Json::parse(text);
       OneShotSpec one;
@@ -136,6 +139,7 @@ TEST(Campaign, LinesMatchOneShotReports) {
       one.algorithm = line.get("algorithm")->as_str();
       one.lists_mode = spec.lists_mode;
       one.palette = spec.palette;
+      if (one.algorithm == "sparse") one.params = spec.algo_params[0].second;
       one.seed = static_cast<std::uint64_t>(line.get("seed")->as_int());
       one.include_timing = false;
       const Json report = one_shot_report(one);
@@ -230,6 +234,43 @@ TEST(Campaign, OracleFlagsLyingAlgorithms) {
             std::string::npos);
   EXPECT_NE(lines[3].find("proved infeasibility"), std::string::npos);
   EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos);
+}
+
+// One bad cell fails its own line; the rest of the grid still runs.
+void expect_one_failed_cell(const CampaignSpec& spec, const char* reason) {
+  CampaignResult result;
+  const auto lines = run_lines(spec, CampaignOptions{}, &result);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(result.colored, 1u);
+  EXPECT_EQ(result.failed, 1u);
+  EXPECT_EQ(result.oracle_violations, 0u);
+  EXPECT_NE(lines[0].find("\"status\":\"colored\""), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[1].find("\"status\":\"failed\""), std::string::npos)
+      << lines[1];
+  EXPECT_NE(lines[1].find(reason), std::string::npos) << lines[1];
+}
+
+TEST(Campaign, PaletteSmallerThanKFailsOnlyItsCell) {
+  // planar6's auto-k (max degree + 1) exceeds a random-lists palette of
+  // 8; greedy takes no lists and still runs.
+  CampaignSpec spec;
+  spec.scenarios = {"planar:n=40"};
+  spec.algorithms = {"greedy", "planar6"};
+  spec.lists_mode = "random";
+  spec.palette = 8;
+  expect_one_failed_cell(spec, "palette 8 is smaller than k ");
+}
+
+TEST(Campaign, ColorBoundErrorFailsOnlyItsCell) {
+  // eps = 0 is refused by the Barenboim-Elkin palette, which the oracle
+  // bound evaluates after the run.
+  CampaignSpec spec;
+  spec.scenarios = {"grid"};
+  spec.algorithms = {"greedy", "barenboim-elkin"};
+  spec.algo_params.emplace_back(
+      "barenboim-elkin", ParamBag{}.set_int("arboricity", 2).set_int("eps", 0));
+  expect_one_failed_cell(spec, "eps > 0");
 }
 
 // --- Probe filtering (spec.probe; io/probe.h) ---------------------------

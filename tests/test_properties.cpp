@@ -430,6 +430,20 @@ TEST(Sparsify, FallbackPathStaysValidAndDeterministic) {
   }
 }
 
+TEST(Sparsify, EmptyGraphTakesNoRounds) {
+  // "All colored" is tested before each propose/resolve iteration, so an
+  // empty graph costs no rounds, sparsified or not.
+  const Graph g;
+  const ListAssignment lists = uniform_lists(0, 3);
+  for (const char* algo : {"randomized", "dplus1-sparsified"}) {
+    const ColoringReport r = solve_sparsified(algo, g, lists, {}, nullptr);
+    ASSERT_EQ(r.status, SolveStatus::kColored) << algo;
+    EXPECT_EQ(r.rounds, 0) << algo;
+    for (const auto& [phase, rounds] : r.ledger.breakdown())
+      EXPECT_NE(phase, "sparsified-attempts") << algo;
+  }
+}
+
 TEST(Sparsify, ListSparsifiedFallbackProvesInfeasibility) {
   // K_5 with 4-lists is infeasible; the sampled attempts cannot prove
   // that (a sample hides colors), so the verdict must come from the

@@ -92,6 +92,25 @@ TEST(Randomized, CliqueWithExactLists) {
   expect_proper_list_coloring(k5, *r.coloring, uniform_lists(5, 5));
 }
 
+TEST(Randomized, IsTheKernelOnItsOwnBaseSeed) {
+  // randomized_list_coloring(g, L, rng) is the (deg+1) check plus the
+  // propose/resolve kernel on base seed rng.next(): same coloring, same
+  // iteration count.
+  Rng g_rng(739);
+  for (const Graph& g : {gnm(120, 260, g_rng), grid(9, 9), complete(6)}) {
+    const ListAssignment lists = deg_plus_one_lists(
+        g, static_cast<Color>(g.max_degree() + 2), g_rng);
+    Rng report_rng(41), kernel_rng(41);
+    const ColoringReport r = randomized_list_coloring(g, lists, report_rng);
+    std::int64_t iterations = -1;
+    const auto c = propose_resolve_coloring(
+        g, lists, kernel_rng.next(), nullptr, 40'000, &iterations);
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(*c, *r.coloring);
+    EXPECT_EQ(iterations, r.metrics.get_int("iterations", -2));
+  }
+}
+
 TEST(Randomized, LedgerCharged) {
   const Graph g = grid(8, 8);
   Rng rng(733);
