@@ -59,20 +59,20 @@ RunFn lists_run(Solver solver, Param param) {
 // d for the Theorem 1.3 family: a positive param d, else k, else (when
 // lists are given) the min list size.
 Vertex sparse_d(const ParamBag& p, Vertex k, const ListAssignment* lists) {
-  const std::int64_t d = p.get_int("d", -1);
-  if (d > 0) return static_cast<Vertex>(d);
+  const Vertex d = p.get_int_as<Vertex>("d", -1);
+  if (d > 0) return d;
   if (k > 0 || lists == nullptr) return k;
   return static_cast<Vertex>(lists->min_list_size());
 }
 
 // GPS peel threshold: param threshold, else k - 1, else 6 (planar).
 Vertex gps_threshold(const ParamBag& p, Vertex k) {
-  return static_cast<Vertex>(p.get_int("threshold", k > 0 ? k - 1 : 6));
+  return p.get_int_as<Vertex>("threshold", k > 0 ? k - 1 : 6);
 }
 
 // Promised arboricity: param arboricity, else `fallback`.
 Vertex arboricity_param(const ParamBag& p, Vertex fallback) {
-  return static_cast<Vertex>(p.get_int("arboricity", fallback));
+  return p.get_int_as<Vertex>("arboricity", fallback);
 }
 
 // Corollary 1.4's a: param arboricity, else k / 2 (k = 2a).
@@ -92,7 +92,7 @@ HPartitionParams h_partition_params(const ParamBag& p) {
 
 // Promised Euler genus (-1 when missing).
 Vertex genus_param(const ParamBag& p) {
-  return static_cast<Vertex>(p.get_int("genus", -1));
+  return p.get_int_as<Vertex>("genus", -1);
 }
 
 // A decoded param `key` that the run cannot do without.
@@ -734,19 +734,22 @@ ColoringReport solve(const ColoringRequest& request, RunContext& ctx) {
   if (sharded != nullptr && sharded->metrics_enabled()) {
     const ExchangeStats xafter = sharded->stats();
     const ShardPlan& plan = sharded->plan();
+    const std::int64_t rounds = xafter.rounds - xbefore.rounds;
     report.metrics.set_int("shards", plan.shards);
-    report.metrics.set_int("exchange_rounds", xafter.rounds - xbefore.rounds);
+    report.metrics.set_int("exchange_rounds", rounds);
     report.metrics.set_int("exchange_messages",
                            xafter.messages - xbefore.messages);
     report.metrics.set_int("exchange_bytes", xafter.bytes - xbefore.bytes);
     report.metrics.set_int("boundary_vertices", plan.boundary_vertices);
     report.metrics.set_int("cut_edges", plan.cut_edges);
+    // Every superstep delivers the plan's boundary set, so the per-round
+    // string repeats boundary_pairs for the first 32 rounds.
     std::string per_round;
-    for (const std::int64_t m : sharded->per_round_messages(xbefore.rounds, 32)) {
+    for (std::int64_t r = 0; r < std::min<std::int64_t>(rounds, 32); ++r) {
       if (!per_round.empty()) per_round += ',';
-      per_round += std::to_string(m);
+      per_round += std::to_string(plan.boundary_pairs);
     }
-    if (xafter.rounds - xbefore.rounds > 32) per_round += ",...";
+    if (rounds > 32) per_round += ",...";
     report.metrics.set_str("exchange_per_round", per_round);
   }
   report.sync_derived_fields();

@@ -8,10 +8,6 @@
 namespace scol {
 namespace {
 
-// Cap on the per-round history kept for the report's round-by-round string;
-// totals stay exact beyond it.
-constexpr std::size_t kPerRoundCap = 4096;
-
 // Balanced range cuts over the CSR: shard s gets an equal share of
 // sum(degree(v) + 1), the same monotone quantity the counting-sort builder
 // lays out, so shards hold contiguous vertex ranges with near-equal
@@ -34,56 +30,6 @@ std::vector<std::int64_t> range_cuts(const Graph& g, int p) {
   return cuts;
 }
 
-// Neighbors of v strictly below / strictly above v (adjacency is sorted).
-std::int64_t deg_below(const Graph& g, Vertex v) {
-  const auto nb = g.neighbors(v);
-  return std::lower_bound(nb.begin(), nb.end(), v) - nb.begin();
-}
-std::int64_t deg_above(const Graph& g, Vertex v) {
-  return g.degree(v) - deg_below(g, v);
-}
-
-// Deterministic local search: slide each internal cut within a bounded
-// window to reduce the number of edges crossing that cut line. Walking the
-// cut from c to c+1 moves vertex c from the right side to the left, so the
-// crossing count changes by deg_above(c) - deg_below(c) — relative costs
-// are enough to pick the argmin, no absolute crossing count needed.
-// Processed left to right so each window respects the already-final
-// neighbor cuts; ties prefer the original range cut, then the smaller
-// position, keeping the result scheduling-independent.
-void edge_cut_search(const Graph& g, std::size_t window,
-                     std::vector<std::int64_t>& cuts) {
-  const int p = static_cast<int>(cuts.size()) - 1;
-  for (int s = 1; s < p; ++s) {
-    const std::int64_t c0 = cuts[s];
-    const std::int64_t w = static_cast<std::int64_t>(window);
-    // Candidates keep both adjacent shards non-empty: an emptied shard
-    // has a trivial zero crossing count, which is degenerate, not a
-    // better partition.
-    const std::int64_t lo = std::max(cuts[s - 1] + 1, c0 - w);
-    const std::int64_t hi = std::min(cuts[s + 1] - 1, c0 + w);
-    std::int64_t best = c0, best_rel = 0, rel = 0;
-    for (std::int64_t c = c0 + 1; c <= hi; ++c) {
-      rel += deg_above(g, static_cast<Vertex>(c - 1)) -
-             deg_below(g, static_cast<Vertex>(c - 1));
-      if (rel < best_rel || (rel == best_rel && c < best)) {
-        best_rel = rel;
-        best = c;
-      }
-    }
-    rel = 0;
-    for (std::int64_t c = c0 - 1; c >= lo; --c) {
-      rel -= deg_above(g, static_cast<Vertex>(c)) -
-             deg_below(g, static_cast<Vertex>(c));
-      if (rel < best_rel || (rel == best_rel && c < best)) {
-        best_rel = rel;
-        best = c;
-      }
-    }
-    cuts[s] = best;
-  }
-}
-
 }  // namespace
 
 int ShardPlan::owner(Vertex v) const {
@@ -99,12 +45,7 @@ ShardPlan ShardPlan::build(const Graph& g, const ShardOptions& options) {
   plan.shards = options.shards;
   plan.num_vertices = static_cast<std::size_t>(g.num_vertices());
   plan.cuts = range_cuts(g, plan.shards);
-  if (options.partition == ShardPartition::kEdgeCut && plan.shards > 1) {
-    edge_cut_search(g, options.edge_cut_window, plan.cuts);
-  }
 
-  const int p = plan.shards;
-  plan.boundary.assign(static_cast<std::size_t>(p) * p, {});
   for (Vertex v = 0; static_cast<std::size_t>(v) < plan.num_vertices; ++v) {
     const int s = plan.owner(v);
     bool any_cross = false;
@@ -115,25 +56,17 @@ ShardPlan ShardPlan::build(const Graph& g, const ShardOptions& options) {
       any_cross = true;
       if (u > v) ++plan.cut_edges;
       if (t != last_t) {
-        plan.boundary[static_cast<std::size_t>(s) * p + t].push_back(v);
+        ++plan.boundary_pairs;
         last_t = t;
       }
     }
     if (any_cross) ++plan.boundary_vertices;
-  }
-  for (const auto& list : plan.boundary) {
-    plan.boundary_pairs += static_cast<std::int64_t>(list.size());
   }
   return plan;
 }
 
 ShardedExecutor::ShardedExecutor(const Graph& g, const ShardOptions& options)
     : options_(options), plan_(ShardPlan::build(g, options)) {
-  arenas_.reserve(plan_.shards);
-  for (int s = 0; s < plan_.shards; ++s) {
-    arenas_.push_back(std::make_unique<Arena>(std::size_t{1} << 16));
-  }
-  channels_ = std::vector<ShardChannel>(plan_.shards);
   if (options_.threaded && plan_.shards > 1) {
     pool_ = std::make_unique<ThreadPool>(plan_.shards);
   }
@@ -159,8 +92,14 @@ void ShardedExecutor::parallel_ranges(
     const std::function<void(std::size_t, std::size_t)>& body) const {
   if (n == 0) return;
   if (n == plan_.num_vertices) {
-    // Full-width sweep == one LOCAL round == one BSP superstep.
-    superstep(body);
+    // Full-width sweep == one LOCAL round == one BSP superstep: every
+    // shard runs its own range, then the plan's boundary set is delivered.
+    for_each_shard([&](int s) {
+      const std::size_t begin = plan_.shard_begin(s);
+      const std::size_t end = plan_.shard_end(s);
+      if (begin < end) body(begin, end);
+    });
+    supersteps_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   // Narrower loop (palette scan, reduction, a ball-sized sub-solve): no
@@ -181,80 +120,11 @@ void ShardedExecutor::parallel_ranges(
   });
 }
 
-void ShardedExecutor::superstep(
-    const std::function<void(std::size_t, std::size_t)>& body) const {
-  const int p = plan_.shards;
-  std::int64_t round;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    round = stats_.rounds;
-  }
-
-  // Phase 1 — compute + post: every shard runs the round body over its own
-  // vertex range, then posts one message per neighboring shard carrying the
-  // ids whose fresh state that shard reads next round. Payloads live in the
-  // sender's arena until its next superstep. run_chunks is a full barrier,
-  // so phase 2 reads happen-after every post.
-  for_each_shard([&](int s) {
-    arenas_[s]->reset();
-    const std::size_t begin = plan_.shard_begin(s);
-    const std::size_t end = plan_.shard_end(s);
-    if (begin < end) body(begin, end);
-    for (int t = 0; t < p; ++t) {
-      const auto& out = plan_.boundary[static_cast<std::size_t>(s) * p + t];
-      if (t == s || out.empty()) continue;
-      const std::span<Vertex> payload = arenas_[s]->alloc<Vertex>(out.size());
-      std::copy(out.begin(), out.end(), payload.begin());
-      channels_[t].push({round, s, payload});
-    }
-  });
-
-  // Phase 2 — drain + verify: each shard empties its inbox and checks the
-  // counted exchange against the plan (every expected boundary update for
-  // this round arrived, none from another round leaked in).
-  std::vector<std::int64_t> received(static_cast<std::size_t>(p), 0);
-  for_each_shard([&](int s) {
-    std::int64_t count = 0;
-    for (const ShardMessage& m : channels_[s].drain()) {
-      SCOL_CHECK(m.round == round, + "cross-round message leak");
-      SCOL_CHECK(m.from != s && plan_.owner(m.payload.front()) == m.from,
-                 + "message from wrong shard");
-      count += static_cast<std::int64_t>(m.payload.size());
-    }
-    std::int64_t expected = 0;
-    for (int t = 0; t < p; ++t) {
-      expected += static_cast<std::int64_t>(
-          plan_.boundary[static_cast<std::size_t>(t) * p + s].size());
-    }
-    SCOL_CHECK(count == expected, + "lost boundary updates");
-    received[static_cast<std::size_t>(s)] = count;
-  });
-
-  std::int64_t delivered = 0;
-  for (const std::int64_t c : received) delivered += c;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.rounds;
-    stats_.messages += delivered;
-    stats_.bytes += delivered * kBytesPerUpdate;
-    if (per_round_.size() < kPerRoundCap) per_round_.push_back(delivered);
-  }
-}
-
 ExchangeStats ShardedExecutor::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
-}
-
-std::vector<std::int64_t> ShardedExecutor::per_round_messages(
-    std::int64_t first_round, std::size_t limit) const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  std::vector<std::int64_t> out;
-  for (std::size_t i = static_cast<std::size_t>(std::max<std::int64_t>(
-           first_round, 0));
-       i < per_round_.size() && out.size() < limit; ++i) {
-    out.push_back(per_round_[i]);
-  }
+  ExchangeStats out;
+  out.rounds = supersteps_.load(std::memory_order_relaxed);
+  out.messages = out.rounds * plan_.boundary_pairs;
+  out.bytes = out.messages * kBytesPerUpdate;
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "scol/serve/protocol.h"
 
 #include <cstdio>
+#include <limits>
 
 #include "scol/util/check.h"
 
@@ -12,6 +13,17 @@ std::int64_t want_int(const Json& v, const char* field) {
   SCOL_REQUIRE(v.is_int(),
                + ("field '" + std::string(field) + "' wants an integer"));
   return v.as_int();
+}
+
+// k and palette: -1 (auto) up to the largest Vertex, the range scol-cli's
+// --k and --palette accept; anything else is refused, never narrowed.
+Vertex want_vertex(const Json& v, const char* field) {
+  const std::int64_t x = want_int(v, field);
+  constexpr std::int64_t kMax = std::numeric_limits<Vertex>::max();
+  SCOL_REQUIRE(x >= -1 && x <= kMax,
+               + ("field '" + std::string(field) + "' must be in [-1, " +
+                  std::to_string(kMax) + "], got " + std::to_string(x)));
+  return static_cast<Vertex>(x);
 }
 
 std::string want_str(const Json& v, const char* field) {
@@ -81,7 +93,7 @@ ServeRequest parse_request(const std::string& line) {
       req.spec.seed =
           static_cast<std::uint64_t>(want_int(value, "seed"));
     } else if (key == "k") {
-      req.spec.k = static_cast<Vertex>(want_int(value, "k"));
+      req.spec.k = want_vertex(value, "k");
     } else if (key == "lists") {
       req.spec.lists_mode = want_str(value, "lists");
       SCOL_REQUIRE(
@@ -90,7 +102,7 @@ ServeRequest parse_request(const std::string& line) {
           + ("field 'lists' wants uniform or random, got '" +
              req.spec.lists_mode + "'"));
     } else if (key == "palette") {
-      req.spec.palette = static_cast<Color>(want_int(value, "palette"));
+      req.spec.palette = want_vertex(value, "palette");
     } else if (key == "params") {
       req.spec.params = params_from_json(value);
     } else if (key == "round_budget") {

@@ -266,6 +266,54 @@ TEST(Solve, OutOfRangeRadiusIsAParameterError) {
   EXPECT_EQ(at_bound.metrics.get_int("radius", -1), 178'956'969);
 }
 
+// Each solver parameter decoder refuses a value a Vertex cannot hold,
+// naming the param, instead of wrapping it: 2^32 + x would otherwise run
+// as x.
+ColoringReport run_with_param(const std::string& algo, const std::string& key,
+                              std::int64_t value) {
+  const Graph g = grid(6, 6);
+  const ListAssignment lists = uniform_lists(g.num_vertices(), 6);
+  ColoringRequest req = make_request(algo, g, lists);
+  req.params.set_int(key, value);
+  RunContext ctx;
+  return solve(req, ctx);
+}
+
+void expect_param_refused(const std::string& algo, const std::string& key,
+                          std::int64_t value) {
+  const ColoringReport r = run_with_param(algo, key, value);
+  EXPECT_EQ(r.status, SolveStatus::kFailed) << algo << " " << key;
+  EXPECT_NE(r.failure_reason.find("param '" + key + "' = " +
+                                  std::to_string(value) + " is out of range"),
+            std::string::npos)
+      << algo << ": " << r.failure_reason;
+}
+
+TEST(Solve, SparseDThatWrapsIsRefused) {
+  expect_param_refused("sparse", "d", std::int64_t{4'294'967'299});
+  expect_param_refused("sparse", "d", std::int64_t{-4'294'967'295});
+  EXPECT_EQ(run_with_param("sparse", "d", 3).status, SolveStatus::kColored);
+}
+
+TEST(Solve, GpsThresholdThatWrapsIsRefused) {
+  expect_param_refused("gps", "threshold", std::int64_t{4'294'967'302});
+  EXPECT_EQ(run_with_param("gps", "threshold", 6).status,
+            SolveStatus::kColored);
+}
+
+TEST(Solve, ArboricityThatWrapsIsRefused) {
+  for (const char* algo : {"arboricity", "barenboim-elkin"})
+    expect_param_refused(algo, "arboricity", std::int64_t{4'294'967'298});
+  EXPECT_EQ(run_with_param("arboricity", "arboricity", 2).status,
+            SolveStatus::kColored);
+}
+
+TEST(Solve, GenusThatWrapsIsRefused) {
+  expect_param_refused("genus", "genus", std::int64_t{4'294'967'296});
+  EXPECT_EQ(run_with_param("genus", "genus", 1).status,
+            SolveStatus::kColored);
+}
+
 TEST(Solve, ContextBudgetsLedgerAndTelemetry) {
   const Graph g = grid(6, 6);
   const ListAssignment lists = uniform_lists(g.num_vertices(), 6);

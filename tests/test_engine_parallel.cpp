@@ -14,6 +14,8 @@
 
 #include "proptest.h"
 #include "scol/api/json.h"
+#include "scol/api/oneshot.h"
+#include "scol/api/scenario.h"
 #include "scol/coloring/ert.h"
 #include "scol/coloring/kcoloring.h"
 #include "scol/coloring/randomized.h"
@@ -260,61 +262,26 @@ TEST(ShardPlan, CutsCoverAndBoundariesMatchBruteForce) {
         EXPECT_GE(static_cast<std::int64_t>(v), plan.cuts[s]);
         EXPECT_LT(static_cast<std::int64_t>(v), plan.cuts[s + 1]);
       }
-      // Boundary lists, cut edges, and totals vs. brute force.
+      // Cut edges and boundary totals vs. brute force.
       std::int64_t cut = 0, bvs = 0, pairs = 0;
       for (Vertex v = 0; v < g.num_vertices(); ++v) {
         const int s = plan.owner(v);
-        bool any = false;
         std::vector<char> sends(static_cast<std::size_t>(p), 0);
         for (const Vertex u : g.neighbors(v)) {
           const int t = plan.owner(u);
           if (t == s) continue;
-          any = true;
           sends[static_cast<std::size_t>(t)] = 1;
           if (u > v) ++cut;
         }
-        if (any) ++bvs;
-        for (int t = 0; t < p; ++t) {
-          const auto& list =
-              plan.boundary[static_cast<std::size_t>(s) * p + t];
-          const bool listed =
-              std::find(list.begin(), list.end(), v) != list.end();
-          EXPECT_EQ(listed, sends[static_cast<std::size_t>(t)] != 0);
-          if (listed) ++pairs;
-        }
+        const auto targets = std::count(sends.begin(), sends.end(), 1);
+        if (targets > 0) ++bvs;
+        pairs += targets;
       }
       EXPECT_EQ(plan.cut_edges, cut);
       EXPECT_EQ(plan.boundary_vertices, bvs);
       EXPECT_EQ(plan.boundary_pairs, pairs);
-      // Boundary lists are sorted (posted in vertex order).
-      for (const auto& list : plan.boundary)
-        EXPECT_TRUE(std::is_sorted(list.begin(), list.end()));
     }
   }
-}
-
-TEST(ShardPlan, EdgeCutHeuristicFindsABridge) {
-  // A K10 community followed by a path: the balanced range cut lands
-  // inside the clique (the clique holds most of the adjacency mass); the
-  // local search must slide it to the single bridge edge.
-  GraphBuilder b(30);
-  for (Vertex u = 0; u < 10; ++u)
-    for (Vertex v = u + 1; v < 10; ++v) b.add_edge(u, v);
-  for (Vertex v = 9; v + 1 < 30; ++v) b.add_edge(v, v + 1);
-  const Graph g = b.build();
-
-  ShardOptions range_options;
-  range_options.shards = 2;
-  const ShardPlan range_plan = ShardPlan::build(g, range_options);
-  ShardOptions edge_options = range_options;
-  edge_options.partition = ShardPartition::kEdgeCut;
-  const ShardPlan edge_plan = ShardPlan::build(g, edge_options);
-
-  EXPECT_GT(range_plan.cut_edges, 1);  // range cut splits the clique
-  EXPECT_EQ(edge_plan.cuts[1], 10);    // the bridge
-  EXPECT_EQ(edge_plan.cut_edges, 1);
-  EXPECT_EQ(edge_plan.boundary_vertices, 2);
-  EXPECT_LE(edge_plan.cut_edges, range_plan.cut_edges);
 }
 
 // --- Sharded executor: bit-identity and exchange accounting --------------
@@ -398,11 +365,142 @@ TEST(ShardedExecutor, ExchangeAccountingMatchesThePlan) {
   EXPECT_GE(stats.rounds, 5);
   EXPECT_EQ(stats.messages, stats.rounds * plan.boundary_pairs);
   EXPECT_EQ(stats.bytes, stats.messages * ShardedExecutor::kBytesPerUpdate);
-  const auto per_round = sharded.per_round_messages(0, 1000);
-  ASSERT_EQ(static_cast<std::int64_t>(per_round.size()), stats.rounds);
-  std::int64_t sum = 0;
-  for (const std::int64_t m : per_round) sum += m;
-  EXPECT_EQ(sum, stats.messages);
+}
+
+// The report's per-round string: one boundary_pairs entry per superstep,
+// the first 32 of them, then ",..." when more ran.
+std::string expected_per_round(std::int64_t rounds, std::int64_t pairs) {
+  std::string out;
+  for (std::int64_t r = 0; r < std::min<std::int64_t>(rounds, 32); ++r) {
+    if (r > 0) out += ',';
+    out += std::to_string(pairs);
+  }
+  if (rounds > 32) out += ",...";
+  return out;
+}
+
+// One executor serving many solves (a campaign instance, a daemon worker)
+// reports every run's telemetry in full, long after its lifetime
+// superstep count has passed 4096. dplus1-sparsified on K50 runs about
+// 4000 supersteps per solve, so the later solves start past that mark.
+TEST(ShardedExecutor, ReusedExecutorKeepsItsTelemetry) {
+  OneShotSpec spec;
+  spec.scenario = "complete:n=50";
+  spec.algorithm = "dplus1-sparsified";
+  spec.include_timing = false;
+  Rng rng(1);
+  const Graph g = build_scenario(spec.scenario, rng);
+  ShardOptions options;
+  options.shards = 2;
+  const ShardedExecutor sharded(g, options);
+  const std::int64_t pairs = sharded.plan().boundary_pairs;
+  std::int64_t last_start = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    spec.seed = seed;
+    last_start = sharded.stats().rounds;
+    const Json report = one_shot_report_on(g, spec, &sharded);
+    const Json& metrics = *report.get("metrics");
+    const std::int64_t rounds = metrics.get("exchange_rounds")->as_int();
+    ASSERT_GT(rounds, 0) << "seed " << seed;
+    EXPECT_EQ(metrics.get("exchange_messages")->as_int(), rounds * pairs);
+    EXPECT_EQ(metrics.get("exchange_per_round")->as_str(),
+              expected_per_round(rounds, pairs))
+        << "seed " << seed << " starting at superstep " << last_start;
+  }
+  EXPECT_GT(last_start, 4096);
+}
+
+// The sharded telemetry is not in the golden corpus (it runs with
+// metrics off), so its bytes are pinned here: one-shot runs with
+// telemetry on, as `scol-cli --shards P --no-timing` prints them.
+TEST(ShardedExecutor, TelemetryBytesArePinned) {
+  struct Pin {
+    const char* algorithm;
+    const char* scenario;
+    int shards;
+    const char* metrics;
+  };
+  const Pin pins[] = {
+      {"randomized", "complete:n=600", 2,
+       R"({"iterations":14,"arena_allocs":0,"arena_bytes":0,"shards":2,)"
+       R"("exchange_rounds":28,"exchange_messages":16800,)"
+       R"("exchange_bytes":134400,"boundary_vertices":600,)"
+       R"("cut_edges":90000,"exchange_per_round":"600,600,600,600,600,)"
+       R"(600,600,600,600,600,600,600,600,600,600,600,600,600,600,600,)"
+       R"(600,600,600,600,600,600,600,600"})"},
+      {"randomized", "complete:n=600", 4,
+       R"({"iterations":14,"arena_allocs":0,"arena_bytes":0,"shards":4,)"
+       R"("exchange_rounds":28,"exchange_messages":50400,)"
+       R"("exchange_bytes":403200,"boundary_vertices":600,)"
+       R"("cut_edges":135000,"exchange_per_round":"1800,1800,1800,1800,)"
+       R"(1800,1800,1800,1800,1800,1800,1800,1800,1800,1800,1800,1800,)"
+       R"(1800,1800,1800,1800,1800,1800,1800,1800,1800,1800,1800,1800"})"},
+      {"randomized", "complete:n=600", 7,
+       R"({"iterations":14,"arena_allocs":0,"arena_bytes":0,"shards":7,)"
+       R"("exchange_rounds":28,"exchange_messages":100800,)"
+       R"("exchange_bytes":806400,"boundary_vertices":600,)"
+       R"("cut_edges":154285,"exchange_per_round":"3600,3600,3600,3600,)"
+       R"(3600,3600,3600,3600,3600,3600,3600,3600,3600,3600,3600,3600,)"
+       R"(3600,3600,3600,3600,3600,3600,3600,3600,3600,3600,3600,3600"})"},
+      {"sparse", "planar:n=3000", 2,
+       R"({"peels":1,"radius":527,"arena_allocs":8,)"
+       R"("arena_bytes":2235008,"shards":2,"exchange_rounds":18,)"
+       R"("exchange_messages":51048,"exchange_bytes":408384,)"
+       R"("boundary_vertices":2836,"cut_edges":4450,)"
+       R"("exchange_per_round":"2836,2836,2836,2836,2836,2836,2836,2836,)"
+       R"(2836,2836,2836,2836,2836,2836,2836,2836,2836,2836"})"},
+      {"sparse", "planar:n=3000", 4,
+       R"({"peels":1,"radius":527,"arena_allocs":8,)"
+       R"("arena_bytes":2235008,"shards":4,"exchange_rounds":18,)"
+       R"("exchange_messages":117306,"exchange_bytes":938448,)"
+       R"("boundary_vertices":2976,"cut_edges":6710,)"
+       R"("exchange_per_round":"6517,6517,6517,6517,6517,6517,6517,6517,)"
+       R"(6517,6517,6517,6517,6517,6517,6517,6517,6517,6517"})"},
+      {"sparse", "planar:n=3000", 7,
+       R"({"peels":1,"radius":527,"arena_allocs":8,)"
+       R"("arena_bytes":2235008,"shards":7,"exchange_rounds":18,)"
+       R"("exchange_messages":164556,"exchange_bytes":1316448,)"
+       R"("boundary_vertices":2998,"cut_edges":7630,)"
+       R"("exchange_per_round":"9142,9142,9142,9142,9142,9142,9142,9142,)"
+       R"(9142,9142,9142,9142,9142,9142,9142,9142,9142,9142"})"},
+      {"dplus1-sparsified", "complete:n=50", 2,
+       R"({"sparsify_target":23,"sparsify_attempts":3,)"
+       R"("sparsify_fallback":0,"sparsify_sampled_colors":1150,)"
+       R"("sparsify_full_colors":2500,"arena_allocs":0,"arena_bytes":0,)"
+       R"("shards":2,"exchange_rounds":4014,"exchange_messages":200700,)"
+       R"("exchange_bytes":1605600,"boundary_vertices":50,)"
+       R"("cut_edges":625,"exchange_per_round":"50,50,50,50,50,50,50,50,)"
+       R"(50,50,50,50,50,50,50,50,50,50,50,50,50,50,50,50,50,50,50,50,)"
+       R"(50,50,50,50,..."})"},
+      {"dplus1-sparsified", "complete:n=50", 4,
+       R"({"sparsify_target":23,"sparsify_attempts":3,)"
+       R"("sparsify_fallback":0,"sparsify_sampled_colors":1150,)"
+       R"("sparsify_full_colors":2500,"arena_allocs":0,"arena_bytes":0,)"
+       R"("shards":4,"exchange_rounds":4014,"exchange_messages":602100,)"
+       R"("exchange_bytes":4816800,"boundary_vertices":50,)"
+       R"("cut_edges":937,"exchange_per_round":"150,150,150,150,150,150,)"
+       R"(150,150,150,150,150,150,150,150,150,150,150,150,150,150,150,)"
+       R"(150,150,150,150,150,150,150,150,150,150,150,..."})"},
+      {"dplus1-sparsified", "complete:n=50", 7,
+       R"({"sparsify_target":23,"sparsify_attempts":3,)"
+       R"("sparsify_fallback":0,"sparsify_sampled_colors":1150,)"
+       R"("sparsify_full_colors":2500,"arena_allocs":0,"arena_bytes":0,)"
+       R"("shards":7,"exchange_rounds":4014,"exchange_messages":1204200,)"
+       R"("exchange_bytes":9633600,"boundary_vertices":50,)"
+       R"("cut_edges":1071,"exchange_per_round":"300,300,300,300,300,)"
+       R"(300,300,300,300,300,300,300,300,300,300,300,300,300,300,300,)"
+       R"(300,300,300,300,300,300,300,300,300,300,300,300,..."})"},
+  };
+  for (const Pin& pin : pins) {
+    OneShotSpec spec;
+    spec.scenario = pin.scenario;
+    spec.algorithm = pin.algorithm;
+    spec.shards = pin.shards;
+    spec.include_timing = false;
+    EXPECT_EQ(one_shot_report(spec).get("metrics")->dump(), pin.metrics)
+        << pin.algorithm << " on " << pin.scenario << " at p="
+        << pin.shards;
+  }
 }
 
 // A loop narrower than the plan runs no superstep. Below kDefaultGrain it

@@ -322,6 +322,34 @@ TEST(Server, OrdersResponsesEchoesIdsRecoversFromGarbage) {
   EXPECT_EQ(r0.get("cache")->get("report")->as_str(), "miss");
 }
 
+// k and palette take what scol-cli's --k and --palette take, [-1, 2^31 - 1]:
+// anything else is an error envelope naming the field, never a value
+// narrowed into range (4294967302 would otherwise be served as k = 6).
+TEST(Server, RefusesKAndPaletteOutsideTheCliRange) {
+  const auto lines = serve({
+      R"({"id":1,"gen":"grid","algo":"linial","k":4294967302})",
+      R"({"id":2,"gen":"grid","algo":"randomized","lists":"random",)"
+      R"("palette":4294967316})",
+      R"({"id":3,"gen":"grid","algo":"linial","k":-2})",
+      R"({"id":4,"gen":"grid","algo":"linial","k":6})",
+  });
+  ASSERT_EQ(lines.size(), 4u);
+  const char* errors[] = {
+      "field 'k' must be in [-1, 2147483647], got 4294967302",
+      "field 'palette' must be in [-1, 2147483647], got 4294967316",
+      "field 'k' must be in [-1, 2147483647], got -2",
+  };
+  for (int i = 0; i < 3; ++i) {
+    const Json reply = Json::parse(lines[static_cast<std::size_t>(i)]);
+    EXPECT_FALSE(reply.get("ok")->as_bool()) << lines[i];
+    ASSERT_NE(reply.get("error"), nullptr) << lines[i];
+    EXPECT_EQ(reply.get("error")->as_str(), errors[i]);
+  }
+  const Json in_range = Json::parse(lines[3]);
+  EXPECT_TRUE(in_range.get("ok")->as_bool());
+  EXPECT_EQ(in_range.get("report")->get("k")->as_int(), 6);
+}
+
 TEST(Server, StatsShutdownAndHashAddressing) {
   const auto lines = serve({
       R"({"id":1,"algo":"greedy","gen":"petersen"})",

@@ -36,6 +36,34 @@ KIND_CHECKS = {
 }
 
 
+def per_round_errors(per_round: str, rounds: int, messages: int
+                     ) -> list[str]:
+    """Every superstep delivers the same boundary set, so the per-round
+    string is min(rounds, 32) copies of messages / rounds, then ",..."
+    exactly when more than 32 rounds ran ("" when none ran)."""
+    if rounds == 0:
+        return [] if per_round == "" else [
+            f"exchange_per_round {per_round!r} with 0 exchange_rounds"]
+    errors = []
+    entries = per_round.split(",")
+    if (entries[-1] == "...") != (rounds > 32):
+        errors.append(f"exchange_per_round ends {entries[-1]!r} after "
+                      f"{rounds} exchange_rounds")
+    if entries[-1] == "...":
+        entries.pop()
+    if len(entries) != min(rounds, 32):
+        errors.append(f"exchange_per_round has {len(entries)} entries, "
+                      f"wanted min({rounds}, 32)")
+    if messages % rounds != 0:
+        errors.append(f"exchange_messages {messages} not a multiple of "
+                      f"exchange_rounds {rounds}")
+    elif any(e != str(messages // rounds) for e in entries):
+        errors.append(f"exchange_per_round entries differ from "
+                      f"exchange_messages / exchange_rounds = "
+                      f"{messages // rounds}")
+    return errors
+
+
 def check(report: dict, schema: dict, campaign_line: bool = False
           ) -> list[str]:
     errors = []
@@ -106,6 +134,11 @@ def check(report: dict, schema: dict, campaign_line: bool = False
                     f"{metrics['exchange_messages']}")
             if metrics["shards"] == 1 and metrics["exchange_messages"] != 0:
                 errors.append("single-shard run exchanged messages")
+            if isinstance(metrics.get("exchange_per_round"), str):
+                errors.extend(per_round_errors(
+                    metrics["exchange_per_round"],
+                    metrics["exchange_rounds"],
+                    metrics["exchange_messages"]))
         if isinstance(report.get("shards"), int) \
                 and report["shards"] != metrics["shards"]:
             errors.append(
