@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   const int rounds = 20;
   ThreadPoolExecutor pool;  // hardware concurrency
   std::cout << "engine runtime: serial vs thread pool ("
-            << pool.concurrency() << " threads), n ~ " << n << ", "
+            << pool.num_threads() << " threads), n ~ " << n << ", "
             << rounds << " rounds/program\n\n";
 
   Rng rng(20260728);

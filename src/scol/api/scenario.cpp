@@ -170,7 +170,7 @@ void register_builtin_scenarios(ScenarioRegistry& r) {
            SCOL_REQUIRE(!path.empty(),
                         + "scenario 'file' needs a path=... param");
            ReadOptions options;
-           options.threads = static_cast<int>(p.get_int("threads", 1));
+           options.threads = p.get_int_as<int>("threads", 1);
            return read_graph_file(path,
                                   parse_format(p.get_str("format", "auto")),
                                   options)

@@ -1,5 +1,6 @@
 #include "scol/coloring/randomized.h"
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 
@@ -22,10 +23,47 @@ std::optional<Coloring> propose_resolve_coloring(
   // abandon decision is deterministic under every executor.
   std::atomic<bool> stuck{false};
   std::vector<Color> proposal(static_cast<std::size_t>(n), kUncolored);
+  // L(v) minus the colors of v's colored neighbors, in list order.
+  const auto free_colors = [&](Vertex v) {
+    std::set<Color> blocked;
+    for (Vertex w : g.neighbors(v)) {
+      const Color cw = coloring[static_cast<std::size_t>(w)];
+      if (cw != kUncolored) blocked.insert(cw);
+    }
+    std::vector<Color> free;
+    for (Color c : lists.of(v))
+      if (!blocked.count(c)) free.push_back(c);
+    return free;
+  };
+  // Whether every free color of every uncolored vertex is the only free
+  // color of some uncolored neighbor. Such a neighbor proposes that color
+  // every iteration, so every proposal clashes from here on. With
+  // (deg+1)-lists it never holds: v has more free colors than uncolored
+  // neighbors. Serial, so it adds no superstep to a sharded run.
+  const auto deadlocked = [&] {
+    std::vector<Color> forced(static_cast<std::size_t>(n), kUncolored);
+    for (Vertex v = 0; v < n; ++v) {
+      if (coloring[static_cast<std::size_t>(v)] != kUncolored) continue;
+      const std::vector<Color> free = free_colors(v);
+      if (free.size() == 1) forced[static_cast<std::size_t>(v)] = free[0];
+    }
+    for (Vertex v = 0; v < n; ++v) {
+      if (coloring[static_cast<std::size_t>(v)] != kUncolored) continue;
+      for (Color c : free_colors(v)) {
+        const auto nb = g.neighbors(v);
+        if (std::none_of(nb.begin(), nb.end(), [&](Vertex w) {
+              return forced[static_cast<std::size_t>(w)] == c;
+            }))
+          return false;
+      }
+    }
+    return true;
+  };
 
   while (colored.load(std::memory_order_relaxed) < n && iters < max_rounds &&
          !stuck.load(std::memory_order_relaxed)) {
     const std::uint64_t round_tag = static_cast<std::uint64_t>(iters) << 32;
+    const std::int64_t colored_before = colored.load(std::memory_order_relaxed);
     // Propose: a uniform color from L(v) minus colored neighbors. A list
     // with no free color is flagged instead of crashing: on short
     // (sampled) lists that abandons the attempt.
@@ -33,14 +71,7 @@ std::optional<Coloring> propose_resolve_coloring(
       const Vertex v = static_cast<Vertex>(i);
       proposal[i] = kUncolored;
       if (coloring[i] != kUncolored) return;
-      std::set<Color> blocked;
-      for (Vertex w : g.neighbors(v)) {
-        const Color cw = coloring[static_cast<std::size_t>(w)];
-        if (cw != kUncolored) blocked.insert(cw);
-      }
-      std::vector<Color> free;
-      for (Color c : lists.of(v))
-        if (!blocked.count(c)) free.push_back(c);
+      const std::vector<Color> free = free_colors(v);
       if (free.empty()) {
         stuck.store(true, std::memory_order_relaxed);
         return;
@@ -71,6 +102,9 @@ std::optional<Coloring> propose_resolve_coloring(
           if (local > 0) colored.fetch_add(local, std::memory_order_relaxed);
         });
     ++iters;
+    if (colored.load(std::memory_order_relaxed) == colored_before &&
+        deadlocked())
+      break;
   }
 
   if (iterations != nullptr) *iterations = iters;

@@ -33,9 +33,12 @@ namespace scol {
 /// and keeps it iff no neighbor proposed the same color; "all colored"
 /// is tested before each iteration, so an empty graph takes none.
 /// Returns nullopt when some vertex has no free list color (short,
-/// e.g. sampled, lists) or after `max_rounds` iterations without
-/// finishing. `iterations` (when non-null) always receives the count
-/// run. Bit-identical under every executor.
+/// e.g. sampled, lists), when an iteration that colors nothing leaves
+/// every free color of every uncolored vertex the only free color of an
+/// uncolored neighbor (every later proposal would clash), or after
+/// `max_rounds` iterations without finishing. `iterations` (when
+/// non-null) always receives the count run. Bit-identical under every
+/// executor.
 std::optional<Coloring> propose_resolve_coloring(
     const Graph& g, const ListAssignment& lists, std::uint64_t base_seed,
     const Executor* executor, int max_rounds, std::int64_t* iterations);

@@ -15,8 +15,8 @@
 
 #include "scol/io/reader_detail.h"
 #include "scol/util/check.h"
+#include "scol/util/executor.h"
 #include "scol/util/file.h"
-#include "scol/util/thread_pool.h"
 
 namespace scol {
 namespace {
@@ -92,18 +92,18 @@ struct BodyPos {
   std::int64_t data = 0;
 };
 
-// Parses `body` on a ThreadPool(threads): one newline-aligned chunk per
-// pool thread, each through parse(cursor, part, start) with a cursor that
-// begins at the chunk's global first line. A counting pre-pass over every
-// chunk gives each one its `start`. Returns the parts in file order and
-// sets `end` to the position one past the last line. A parse error
-// propagates from the lowest-index chunk that threw, which holds the
-// earliest offending line (ThreadPool::run_chunks).
+// Parses `body` on a ThreadPoolExecutor(threads): one newline-aligned
+// chunk per pool thread, each through parse(cursor, part, start) with a
+// cursor that begins at the chunk's global first line. A counting
+// pre-pass over every chunk gives each one its `start`. Returns the parts
+// in file order and sets `end` to the position one past the last line. A
+// parse error propagates from the lowest-index chunk that threw, which
+// holds the earliest offending line (ThreadPoolExecutor::run_chunks).
 template <class Part, class Parse>
 std::vector<Part> parse_chunks(std::string_view body, const std::string& name,
                                std::size_t first_line, int threads,
                                BodyPos& end, const Parse& parse) {
-  ThreadPool pool(threads);
+  const ThreadPoolExecutor pool(threads);
   const std::vector<std::string_view> chunks =
       split_lines(body, pool.num_threads());
   std::vector<BodyPos> counts(chunks.size());

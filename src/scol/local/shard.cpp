@@ -66,58 +66,27 @@ ShardPlan ShardPlan::build(const Graph& g, const ShardOptions& options) {
 }
 
 ShardedExecutor::ShardedExecutor(const Graph& g, const ShardOptions& options)
-    : options_(options), plan_(ShardPlan::build(g, options)) {
-  if (options_.threaded && plan_.shards > 1) {
-    pool_ = std::make_unique<ThreadPool>(plan_.shards);
-  }
-}
-
-ShardedExecutor::~ShardedExecutor() = default;
-
-int ShardedExecutor::concurrency() const {
-  return pool_ != nullptr ? plan_.shards : 1;
-}
-
-void ShardedExecutor::for_each_shard(const std::function<void(int)>& f) const {
-  if (pool_ != nullptr) {
-    pool_->run_chunks(static_cast<std::size_t>(plan_.shards),
-                      [&](std::size_t s) { f(static_cast<int>(s)); });
-  } else {
-    for (int s = 0; s < plan_.shards; ++s) f(s);
-  }
-}
+    : options_(options),
+      plan_(ShardPlan::build(g, options)),
+      pool_(options.threaded ? plan_.shards : 1) {}
 
 void ShardedExecutor::parallel_ranges(
     std::size_t n,
     const std::function<void(std::size_t, std::size_t)>& body) const {
-  if (n == 0) return;
-  if (n == plan_.num_vertices) {
-    // Full-width sweep == one LOCAL round == one BSP superstep: every
-    // shard runs its own range, then the plan's boundary set is delivered.
-    for_each_shard([&](int s) {
-      const std::size_t begin = plan_.shard_begin(s);
-      const std::size_t end = plan_.shard_end(s);
-      if (begin < end) body(begin, end);
-    });
-    supersteps_.fetch_add(1, std::memory_order_relaxed);
+  if (n == 0 || n != plan_.num_vertices) {
+    // Narrower loop: no exchange — a real backend would run it
+    // shard-locally too, it touches no cross-shard state.
+    pool_.parallel_ranges(n, body);
     return;
   }
-  // Narrower loop (palette scan, reduction, a ball-sized sub-solve): no
-  // exchange — a real backend would run these shard-locally too, they
-  // touch no cross-shard state. Below the grain the body runs inline as
-  // one range (a pool round-trip costs more than such a loop); wider ones
-  // split into plain disjoint chunks over the same shard topology.
-  if (n < kDefaultGrain) {
-    body(0, n);
-    return;
-  }
-  const std::size_t p = static_cast<std::size_t>(plan_.shards);
-  const std::size_t chunk = (n + p - 1) / p;
-  for_each_shard([&](int s) {
-    const std::size_t begin = static_cast<std::size_t>(s) * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
+  // Full-width sweep == one LOCAL round == one BSP superstep: every shard
+  // runs its own range, then the plan's boundary set is delivered.
+  pool_.run_chunks(static_cast<std::size_t>(plan_.shards), [&](std::size_t s) {
+    const std::size_t begin = plan_.shard_begin(static_cast<int>(s));
+    const std::size_t end = plan_.shard_end(static_cast<int>(s));
     if (begin < end) body(begin, end);
   });
+  supersteps_.fetch_add(1, std::memory_order_relaxed);
 }
 
 ExchangeStats ShardedExecutor::stats() const {

@@ -8,17 +8,22 @@
 // s-owned vertices with at least one neighbor in t — exactly the
 // per-round update set a real network backend would transmit.
 //
-// ShardedExecutor implements the Executor seam on top of a plan: a
-// parallel_ranges() call whose width equals the graph's vertex count is one
-// BSP superstep — each shard runs the body over its own range, then the
-// superstep counter advances. Every superstep delivers the same plan-fixed
-// update set, so the exchange is counted, not simulated: stats() derives
-// messages = supersteps × boundary_pairs. Narrower loops (palette scans,
-// reductions, ball-sized sub-solves) carry no exchange accounting: below
-// kDefaultGrain they run inline as one range, wider ones as plain disjoint
-// chunks. Because the shard ranges are disjoint and exactly cover [0, n),
-// results are bit-identical to SerialExecutor — the golden corpus pins this
-// for p ∈ {1, 2, 4, 8}.
+// ShardedExecutor implements the Executor seam on top of a plan and one
+// ThreadPoolExecutor (p threads when `threaded`, else 1, which starts no
+// thread). It drives a loop in one of two modes:
+//   - A parallel_ranges() call whose width equals the graph's vertex count
+//     is one BSP superstep: the plan's p shard ranges run as the pool's p
+//     chunks, then the superstep counter advances. Every superstep
+//     delivers the same plan-fixed update set, so the exchange is counted,
+//     not simulated: stats() derives messages = supersteps ×
+//     boundary_pairs.
+//   - A narrower loop (palette scan, reduction, ball-sized sub-solve)
+//     carries no exchange and is the pool's own parallel_ranges: one rule
+//     for narrow loops everywhere, under which a loop below kDefaultGrain
+//     runs inline as the single range (0, n) on the caller.
+// Because the shard ranges are disjoint and exactly cover [0, n), results
+// are bit-identical to SerialExecutor — the golden corpus pins this for
+// p ∈ {1, 2, 4, 8}.
 //
 // solve() snapshots the counters around a run and surfaces per-run deltas
 // in the report metrics bag when `ShardOptions::metrics` is on. With
@@ -29,18 +34,16 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "scol/graph/graph.h"
 #include "scol/util/executor.h"
-#include "scol/util/thread_pool.h"
 
 namespace scol {
 
 struct ShardOptions {
   int shards = 1;          ///< p >= 1
-  bool threaded = false;   ///< run shards on an owned p-thread pool
+  bool threaded = false;   ///< run shards on a p-thread pool
   bool metrics = true;     ///< surface exchange telemetry in reports
 };
 
@@ -85,9 +88,7 @@ class ShardedExecutor final : public Executor {
       sizeof(Vertex) + sizeof(std::int32_t);
 
   ShardedExecutor(const Graph& g, const ShardOptions& options);
-  ~ShardedExecutor() override;
 
-  int concurrency() const override;
   void parallel_ranges(
       std::size_t n,
       const std::function<void(std::size_t, std::size_t)>& body) const override;
@@ -99,11 +100,9 @@ class ShardedExecutor final : public Executor {
   ExchangeStats stats() const;
 
  private:
-  void for_each_shard(const std::function<void(int)>& f) const;
-
   ShardOptions options_;
   ShardPlan plan_;
-  std::unique_ptr<ThreadPool> pool_;  // threaded mode only
+  ThreadPoolExecutor pool_;
   mutable std::atomic<std::int64_t> supersteps_{0};
 };
 

@@ -314,6 +314,20 @@ TEST(Solve, GenusThatWrapsIsRefused) {
             SolveStatus::kColored);
 }
 
+TEST(Scenarios, FileThreadsThatWrapIsRefused) {
+  // A reader thread count an int cannot hold is refused, not wrapped.
+  Rng rng(1);
+  try {
+    build_scenario("file:path=missing.col,threads=4294967298", rng);
+    FAIL() << "expected a PreconditionError";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "param 'threads' = 4294967298 is out of range"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Solve, ContextBudgetsLedgerAndTelemetry) {
   const Graph g = grid(6, 6);
   const ListAssignment lists = uniform_lists(g.num_vertices(), 6);

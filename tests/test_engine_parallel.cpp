@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -29,21 +31,20 @@
 #include "scol/local/shard.h"
 #include "scol/local/validate.h"
 #include "scol/util/executor.h"
-#include "scol/util/thread_pool.h"
 
 namespace scol {
 namespace {
 
-TEST(ThreadPool, RunsEveryChunkExactlyOnce) {
-  ThreadPool pool(4);
+TEST(ThreadPoolExecutor, RunsEveryChunkExactlyOnce) {
+  const ThreadPoolExecutor pool(4);
   EXPECT_EQ(pool.num_threads(), 4);
   std::vector<std::atomic<int>> hits(257);
   pool.run_chunks(hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, SequentialJobsReuseWorkers) {
-  ThreadPool pool(3);
+TEST(ThreadPoolExecutor, SequentialJobsReuseWorkers) {
+  const ThreadPoolExecutor pool(3);
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> sum{0};
     pool.run_chunks(17, [&](std::size_t i) { sum += static_cast<int>(i); });
@@ -51,8 +52,8 @@ TEST(ThreadPool, SequentialJobsReuseWorkers) {
   }
 }
 
-TEST(ThreadPool, PropagatesFirstExceptionByChunkIndex) {
-  ThreadPool pool(4);
+TEST(ThreadPoolExecutor, PropagatesFirstExceptionByChunkIndex) {
+  const ThreadPoolExecutor pool(4);
   try {
     pool.run_chunks(64, [&](std::size_t i) {
       if (i % 2 == 1) throw std::runtime_error("chunk " + std::to_string(i));
@@ -65,6 +66,39 @@ TEST(ThreadPool, PropagatesFirstExceptionByChunkIndex) {
   std::atomic<int> sum{0};
   pool.run_chunks(8, [&](std::size_t) { ++sum; });
   EXPECT_EQ(sum.load(), 8);
+}
+
+// Threads this process runs, one /proc/self/task entry each.
+std::size_t live_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+// A thread count arrives unchecked from flags, the wire and file
+// scenarios; the pool starts at most one worker per core beyond the
+// caller, while chunking still follows the requested count.
+TEST(ThreadPoolExecutor, StartsAtMostOneWorkerPerSpareCore) {
+  if (!std::filesystem::exists("/proc/self/task"))
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  const int hw =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const std::size_t before = live_threads();
+  const ThreadPoolExecutor pool(hw + 3, /*grain=*/1);
+  EXPECT_EQ(live_threads() - before, static_cast<std::size_t>(hw - 1));
+  EXPECT_EQ(pool.num_threads(), hw + 3);
+  // 4 chunks per requested thread, 10 indices each.
+  const std::size_t chunks = static_cast<std::size_t>(hw + 3) * 4;
+  std::mutex mu;
+  std::size_t ranges = 0;
+  std::vector<int> hit(chunks * 10, 0);
+  pool.parallel_ranges(hit.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) ++hit[i];
+    std::lock_guard<std::mutex> lock(mu);
+    ++ranges;
+  });
+  EXPECT_EQ(ranges, chunks);
+  for (int h : hit) EXPECT_EQ(h, 1);
 }
 
 TEST(Executor, ParallelRangesCoverExactly) {
@@ -381,8 +415,8 @@ std::string expected_per_round(std::int64_t rounds, std::int64_t pairs) {
 
 // One executor serving many solves (a campaign instance, a daemon worker)
 // reports every run's telemetry in full, long after its lifetime
-// superstep count has passed 4096. dplus1-sparsified on K50 runs about
-// 4000 supersteps per solve, so the later solves start past that mark.
+// superstep count has passed 4096: empty full-width sweeps take it past
+// that mark before the first solve.
 TEST(ShardedExecutor, ReusedExecutorKeepsItsTelemetry) {
   OneShotSpec spec;
   spec.scenario = "complete:n=50";
@@ -394,6 +428,9 @@ TEST(ShardedExecutor, ReusedExecutorKeepsItsTelemetry) {
   options.shards = 2;
   const ShardedExecutor sharded(g, options);
   const std::int64_t pairs = sharded.plan().boundary_pairs;
+  for (int sweep = 0; sweep <= 4096; ++sweep)
+    sharded.parallel_ranges(static_cast<std::size_t>(g.num_vertices()),
+                            [](std::size_t, std::size_t) {});
   std::int64_t last_start = 0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     spec.seed = seed;
@@ -467,8 +504,8 @@ TEST(ShardedExecutor, TelemetryBytesArePinned) {
        R"({"sparsify_target":23,"sparsify_attempts":3,)"
        R"("sparsify_fallback":0,"sparsify_sampled_colors":1150,)"
        R"("sparsify_full_colors":2500,"arena_allocs":0,"arena_bytes":0,)"
-       R"("shards":2,"exchange_rounds":4014,"exchange_messages":200700,)"
-       R"("exchange_bytes":1605600,"boundary_vertices":50,)"
+       R"("shards":2,"exchange_rounds":50,"exchange_messages":2500,)"
+       R"("exchange_bytes":20000,"boundary_vertices":50,)"
        R"("cut_edges":625,"exchange_per_round":"50,50,50,50,50,50,50,50,)"
        R"(50,50,50,50,50,50,50,50,50,50,50,50,50,50,50,50,50,50,50,50,)"
        R"(50,50,50,50,..."})"},
@@ -476,8 +513,8 @@ TEST(ShardedExecutor, TelemetryBytesArePinned) {
        R"({"sparsify_target":23,"sparsify_attempts":3,)"
        R"("sparsify_fallback":0,"sparsify_sampled_colors":1150,)"
        R"("sparsify_full_colors":2500,"arena_allocs":0,"arena_bytes":0,)"
-       R"("shards":4,"exchange_rounds":4014,"exchange_messages":602100,)"
-       R"("exchange_bytes":4816800,"boundary_vertices":50,)"
+       R"("shards":4,"exchange_rounds":50,"exchange_messages":7500,)"
+       R"("exchange_bytes":60000,"boundary_vertices":50,)"
        R"("cut_edges":937,"exchange_per_round":"150,150,150,150,150,150,)"
        R"(150,150,150,150,150,150,150,150,150,150,150,150,150,150,150,)"
        R"(150,150,150,150,150,150,150,150,150,150,150,..."})"},
@@ -485,8 +522,8 @@ TEST(ShardedExecutor, TelemetryBytesArePinned) {
        R"({"sparsify_target":23,"sparsify_attempts":3,)"
        R"("sparsify_fallback":0,"sparsify_sampled_colors":1150,)"
        R"("sparsify_full_colors":2500,"arena_allocs":0,"arena_bytes":0,)"
-       R"("shards":7,"exchange_rounds":4014,"exchange_messages":1204200,)"
-       R"("exchange_bytes":9633600,"boundary_vertices":50,)"
+       R"("shards":7,"exchange_rounds":50,"exchange_messages":15000,)"
+       R"("exchange_bytes":120000,"boundary_vertices":50,)"
        R"("cut_edges":1071,"exchange_per_round":"300,300,300,300,300,)"
        R"(300,300,300,300,300,300,300,300,300,300,300,300,300,300,300,)"
        R"(300,300,300,300,300,300,300,300,300,300,300,300,..."})"},
@@ -503,10 +540,11 @@ TEST(ShardedExecutor, TelemetryBytesArePinned) {
   }
 }
 
-// A loop narrower than the plan runs no superstep. Below kDefaultGrain it
-// runs inline as the single range (0, n) on the calling thread; at the
-// grain and above it still splits into disjoint chunks covering [0, n).
-// Neither adds exchange traffic, and parallel_min_index agrees with serial.
+// A loop narrower than the plan runs no superstep: it is the shard pool's
+// own parallel_ranges, so its ranges are a ThreadPoolExecutor's with the
+// same thread count. Below kDefaultGrain that is the single range (0, n)
+// on the calling thread. No narrow loop adds exchange traffic, and
+// parallel_min_index agrees with serial.
 TEST(ShardedExecutor, NarrowLoopsBelowTheGrainRunInlineAsOneRange) {
   Rng rng(2081);
   const Graph g = gnm(1000, 2500, rng);
@@ -515,12 +553,13 @@ TEST(ShardedExecutor, NarrowLoopsBelowTheGrainRunInlineAsOneRange) {
     options.shards = 4;
     options.threaded = threaded;
     ShardedExecutor sharded(g, options);
-    const auto ranges_of = [&](std::size_t n) {
+    const ThreadPoolExecutor pool(threaded ? 4 : 1);
+    const auto ranges_of = [&](const Executor& exec, std::size_t n) {
       std::mutex mu;
       std::vector<std::pair<std::size_t, std::size_t>> ranges;
       bool off_thread = false;
       const auto caller = std::this_thread::get_id();
-      sharded.parallel_ranges(n, [&](std::size_t begin, std::size_t end) {
+      exec.parallel_ranges(n, [&](std::size_t begin, std::size_t end) {
         std::lock_guard<std::mutex> lock(mu);
         ranges.emplace_back(begin, end);
         off_thread |= std::this_thread::get_id() != caller;
@@ -530,15 +569,18 @@ TEST(ShardedExecutor, NarrowLoopsBelowTheGrainRunInlineAsOneRange) {
     };
     for (const std::size_t n : {std::size_t{1}, std::size_t{37},
                                 kDefaultGrain - 1}) {
-      const auto [ranges, off_thread] = ranges_of(n);
+      const auto [ranges, off_thread] = ranges_of(sharded, n);
       EXPECT_EQ(ranges, (std::vector<std::pair<std::size_t, std::size_t>>{
                             {0, n}}))
           << "n=" << n << " threaded=" << threaded;
       EXPECT_FALSE(off_thread) << "n=" << n;
     }
-    for (const std::size_t n : {kDefaultGrain, std::size_t{999}}) {
-      const auto [ranges, off_thread] = ranges_of(n);
-      EXPECT_EQ(ranges.size(), 4u) << "n=" << n;
+    for (const std::size_t n : {std::size_t{1}, std::size_t{37},
+                                kDefaultGrain - 1, kDefaultGrain,
+                                std::size_t{999}, std::size_t{5000}}) {
+      const auto ranges = ranges_of(sharded, n).first;
+      EXPECT_EQ(ranges, ranges_of(pool, n).first)
+          << "n=" << n << " threaded=" << threaded;
       std::size_t next = 0;
       for (const auto& [begin, end] : ranges) {
         EXPECT_EQ(begin, next);

@@ -22,7 +22,6 @@
 
 #include "scol/api/campaign.h"
 #include "scol/api/registry.h"
-#include "scol/util/thread_pool.h"
 
 namespace scol {
 namespace {

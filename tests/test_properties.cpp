@@ -9,6 +9,8 @@
 #include <cmath>
 
 #include "proptest.h"
+#include "scol/api/json.h"
+#include "scol/api/oneshot.h"
 #include "scol/coloring/exact.h"
 #include "scol/coloring/greedy.h"
 #include "scol/coloring/sparse.h"
@@ -441,6 +443,40 @@ TEST(Sparsify, EmptyGraphTakesNoRounds) {
     EXPECT_EQ(r.rounds, 0) << algo;
     for (const auto& [phase, rounds] : r.ledger.breakdown())
       EXPECT_NE(phase, "sparsified-attempts") << algo;
+  }
+}
+
+TEST(Sparsify, StalledAttemptsStopWhenEveryProposalMustClash) {
+  // On complete graphs the sampled attempts stall where every proposal
+  // clashes; they stop there instead of running to the 1000-iteration
+  // cap. Attempt seeds do not depend on earlier attempts, so the
+  // coloring is the one the capped attempts produced (pinned by an
+  // FNV-1a digest of its JSON).
+  const auto fnv1a = [](const std::string& bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : bytes) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  };
+  const struct {
+    const char* scenario;
+    std::uint64_t coloring_digest;
+  } pins[] = {{"complete:n=50", 0x51b92496ae1927d4ULL},
+              {"complete:n=300", 0x7884781db417e085ULL}};
+  for (const auto& pin : pins) {
+    OneShotSpec spec;
+    spec.scenario = pin.scenario;
+    spec.algorithm = "dplus1-sparsified";
+    spec.with_coloring = true;
+    spec.include_timing = false;
+    const Json report = one_shot_report(spec);
+    ASSERT_EQ(report.get("status")->as_str(), "colored") << pin.scenario;
+    EXPECT_LT(report.get("ledger")->get("sparsified-attempts")->as_int(), 100)
+        << pin.scenario;
+    EXPECT_EQ(fnv1a(report.get("coloring")->dump()), pin.coloring_digest)
+        << pin.scenario;
   }
 }
 

@@ -111,6 +111,19 @@ TEST(Randomized, IsTheKernelOnItsOwnBaseSeed) {
   }
 }
 
+TEST(Randomized, KernelStopsWhenEveryProposalMustClash) {
+  // K2 with lists {0},{0}: both always propose 0 and clash. The kernel
+  // gives up after the first iteration that colors nothing instead of
+  // running to its cap.
+  const Graph k2 = complete(2);
+  const ListAssignment lists = uniform_lists(2, 1);
+  std::int64_t iterations = -1;
+  EXPECT_FALSE(propose_resolve_coloring(k2, lists, 7, nullptr, 1000,
+                                        &iterations)
+                   .has_value());
+  EXPECT_EQ(iterations, 1);
+}
+
 TEST(Randomized, LedgerCharged) {
   const Graph g = grid(8, 8);
   Rng rng(733);
