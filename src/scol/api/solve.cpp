@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <utility>
 
 #include "scol/coloring/barenboim_elkin.h"
@@ -108,11 +109,11 @@ std::int64_t node_budget(const ColoringRequest& req) {
 }
 
 // Propose/resolve iteration cap: half the round budget (two LOCAL rounds
-// per iteration), else `fallback`.
+// per iteration, saturating at INT_MAX), else `fallback`.
 int iteration_cap(const RunContext& ctx, int fallback) {
   if (ctx.round_budget > 0)
-    return static_cast<int>(
-        std::max<std::int64_t>(1, ctx.round_budget / 2));
+    return static_cast<int>(std::clamp<std::int64_t>(
+        ctx.round_budget / 2, 1, std::numeric_limits<int>::max()));
   return fallback;
 }
 

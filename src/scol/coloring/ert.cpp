@@ -14,10 +14,6 @@
 namespace scol {
 namespace {
 
-bool has_color(const std::vector<Color>& list, Color c) {
-  return std::binary_search(list.begin(), list.end(), c);
-}
-
 // Colors `targets` (must be currently uncolored) sequentially in decreasing
 // `key` order; each picks the first avail color unused by colored
 // g-neighbors. Throws InternalError if some vertex has no free color — the
@@ -111,7 +107,7 @@ void color_two_connected(const Graph& b, AvailableLists av, Coloring& out) {
       Vertex uu = u, vv = v;
       Color c = kUncolored;
       for (Color x : av[static_cast<std::size_t>(uu)]) {
-        if (!has_color(av[static_cast<std::size_t>(vv)], x)) {
+        if (!list_contains(av[static_cast<std::size_t>(vv)], x)) {
           c = x;
           break;
         }
@@ -119,7 +115,7 @@ void color_two_connected(const Graph& b, AvailableLists av, Coloring& out) {
       if (c == kUncolored) {
         std::swap(uu, vv);
         for (Color x : av[static_cast<std::size_t>(uu)]) {
-          if (!has_color(av[static_cast<std::size_t>(vv)], x)) {
+          if (!list_contains(av[static_cast<std::size_t>(vv)], x)) {
             c = x;
             break;
           }

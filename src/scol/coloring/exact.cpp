@@ -79,7 +79,6 @@ std::optional<Coloring> find_list_coloring(const Graph& g,
                                            const ListAssignment& lists,
                                            std::int64_t node_budget) {
   SCOL_REQUIRE(lists.size() == g.num_vertices());
-  SCOL_REQUIRE(lists.canonical(), + "lists must be sorted unique");
   // Dense palette remap for forward-checking counters.
   std::map<Color, Color> palette;
   for (Color x : lists.flat())

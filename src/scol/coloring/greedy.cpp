@@ -61,23 +61,12 @@ std::optional<Coloring> greedy_list_coloring(const Graph& g,
                                              const ListAssignment& lists,
                                              const std::vector<Vertex>& order) {
   SCOL_REQUIRE(lists.size() == g.num_vertices());
-  SCOL_REQUIRE(lists.canonical(), + "lists must be sorted unique");
   Coloring c = empty_coloring(g.num_vertices());
+  std::vector<std::size_t> hits;
   for (Vertex v : order) {
-    std::set<Color> forbidden;
-    for (Vertex w : g.neighbors(v)) {
-      if (c[static_cast<std::size_t>(w)] != kUncolored)
-        forbidden.insert(c[static_cast<std::size_t>(w)]);
-    }
-    Color pick = kUncolored;
-    for (Color x : lists.of(v)) {
-      if (!forbidden.count(x)) {
-        pick = x;
-        break;
-      }
-    }
-    if (pick == kUncolored) return std::nullopt;
-    c[static_cast<std::size_t>(v)] = pick;
+    const FreeColors free(lists.of(v), g.neighbors(v), c, hits);
+    if (free.size() == 0) return std::nullopt;
+    c[static_cast<std::size_t>(v)] = free.at(0);
   }
   return c;
 }

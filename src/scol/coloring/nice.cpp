@@ -27,7 +27,6 @@ bool is_nice_assignment(const Graph& g, const ListAssignment& lists) {
 ColoringReport nice_list_coloring(const Graph& g, const ListAssignment& lists,
                                   const SparseOptions& opts) {
   const Vertex n = g.num_vertices();
-  SCOL_REQUIRE(lists.canonical(), + "lists must be sorted unique");
   SCOL_REQUIRE(is_nice_assignment(g, lists), + "list assignment is not nice");
 
   ColoringReport out = ColoringReport::colored(empty_coloring(n));

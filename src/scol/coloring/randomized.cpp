@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <set>
 
 #include "scol/util/executor.h"
 
@@ -13,7 +12,6 @@ std::optional<Coloring> propose_resolve_coloring(
     const Executor* executor, int max_rounds, std::int64_t* iterations) {
   const Vertex n = g.num_vertices();
   SCOL_REQUIRE(lists.size() == n);
-  SCOL_REQUIRE(lists.canonical(), + "lists must be sorted unique");
   const Executor& exec = resolve_executor(executor);
 
   Coloring coloring = empty_coloring(n);
@@ -23,39 +21,28 @@ std::optional<Coloring> propose_resolve_coloring(
   // abandon decision is deterministic under every executor.
   std::atomic<bool> stuck{false};
   std::vector<Color> proposal(static_cast<std::size_t>(n), kUncolored);
-  // L(v) minus the colors of v's colored neighbors, in list order.
-  const auto free_colors = [&](Vertex v) {
-    std::set<Color> blocked;
-    for (Vertex w : g.neighbors(v)) {
-      const Color cw = coloring[static_cast<std::size_t>(w)];
-      if (cw != kUncolored) blocked.insert(cw);
-    }
-    std::vector<Color> free;
-    for (Color c : lists.of(v))
-      if (!blocked.count(c)) free.push_back(c);
-    return free;
-  };
+  // Each vertex's proposal when it was its only free color, else
+  // kUncolored.
+  std::vector<Color> forced(static_cast<std::size_t>(n), kUncolored);
   // Whether every free color of every uncolored vertex is the only free
   // color of some uncolored neighbor. Such a neighbor proposes that color
   // every iteration, so every proposal clashes from here on. With
   // (deg+1)-lists it never holds: v has more free colors than uncolored
-  // neighbors. Serial, so it adds no superstep to a sharded run.
+  // neighbors. Asked only after an iteration that colored nothing, so the
+  // free colors are still those the proposals were drawn from. Serial, so
+  // it adds no superstep to a sharded run.
   const auto deadlocked = [&] {
-    std::vector<Color> forced(static_cast<std::size_t>(n), kUncolored);
+    std::vector<std::size_t> hits;
     for (Vertex v = 0; v < n; ++v) {
       if (coloring[static_cast<std::size_t>(v)] != kUncolored) continue;
-      const std::vector<Color> free = free_colors(v);
-      if (free.size() == 1) forced[static_cast<std::size_t>(v)] = free[0];
-    }
-    for (Vertex v = 0; v < n; ++v) {
-      if (coloring[static_cast<std::size_t>(v)] != kUncolored) continue;
-      for (Color c : free_colors(v)) {
-        const auto nb = g.neighbors(v);
-        if (std::none_of(nb.begin(), nb.end(), [&](Vertex w) {
+      const auto nb = g.neighbors(v);
+      const FreeColors free(lists.of(v), nb, coloring, hits);
+      if (!free.all_of([&](Color c) {
+            return std::any_of(nb.begin(), nb.end(), [&](Vertex w) {
               return forced[static_cast<std::size_t>(w)] == c;
-            }))
-          return false;
-      }
+            });
+          }))
+        return false;
     }
     return true;
   };
@@ -67,19 +54,24 @@ std::optional<Coloring> propose_resolve_coloring(
     // Propose: a uniform color from L(v) minus colored neighbors. A list
     // with no free color is flagged instead of crashing: on short
     // (sampled) lists that abandons the attempt.
-    parallel_for_index(exec, static_cast<std::size_t>(n), [&](std::size_t i) {
-      const Vertex v = static_cast<Vertex>(i);
-      proposal[i] = kUncolored;
-      if (coloring[i] != kUncolored) return;
-      const std::vector<Color> free = free_colors(v);
-      if (free.empty()) {
-        stuck.store(true, std::memory_order_relaxed);
-        return;
-      }
-      Rng vr =
-          Rng::stream(base_seed, round_tag | static_cast<std::uint64_t>(v));
-      proposal[i] = free[vr.below(free.size())];
-    });
+    exec.parallel_ranges(
+        static_cast<std::size_t>(n), [&](std::size_t begin, std::size_t end) {
+          std::vector<std::size_t> hits;
+          for (std::size_t i = begin; i < end; ++i) {
+            const Vertex v = static_cast<Vertex>(i);
+            proposal[i] = forced[i] = kUncolored;
+            if (coloring[i] != kUncolored) continue;
+            const FreeColors free(lists.of(v), g.neighbors(v), coloring, hits);
+            if (free.size() == 0) {
+              stuck.store(true, std::memory_order_relaxed);
+              continue;
+            }
+            Rng vr = Rng::stream(base_seed,
+                                 round_tag | static_cast<std::uint64_t>(v));
+            proposal[i] = free.at(vr.below(free.size()));
+            if (free.size() == 1) forced[i] = proposal[i];
+          }
+        });
     // Resolve: keep the proposal iff no neighbor proposed the same color.
     exec.parallel_ranges(
         static_cast<std::size_t>(n), [&](std::size_t begin, std::size_t end) {

@@ -27,11 +27,12 @@
 
 namespace scol {
 
-/// The propose/resolve kernel on arbitrary canonical lists. Each
-/// iteration (2 LOCAL rounds) every uncolored vertex proposes a uniform
-/// free list color from its Rng::stream(base_seed, iteration << 32 | v),
-/// and keeps it iff no neighbor proposed the same color; "all colored"
-/// is tested before each iteration, so an empty graph takes none.
+/// The propose/resolve kernel on arbitrary lists. Each iteration (2 LOCAL
+/// rounds) every uncolored vertex proposes a uniform free list color from
+/// its Rng::stream(base_seed, iteration << 32 | v), read through
+/// FreeColors (coloring/types.h) in O(deg log |L(v)|) with no copy of
+/// L(v), and keeps it iff no neighbor proposed the same color; "all
+/// colored" is tested before each iteration, so an empty graph takes none.
 /// Returns nullopt when some vertex has no free list color (short,
 /// e.g. sampled, lists), when an iteration that colors nothing leaves
 /// every free color of every uncolored vertex the only free color of an

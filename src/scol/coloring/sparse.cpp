@@ -286,7 +286,6 @@ SparseResult list_color_sparse(const Graph& g, Vertex d,
   const Vertex n = g.num_vertices();
   SCOL_REQUIRE(d >= 3, + "Theorem 1.3 needs d >= 3");
   SCOL_REQUIRE(lists.size() == n, + "one list per vertex");
-  SCOL_REQUIRE(lists.canonical(), + "lists must be sorted unique");
   for (Vertex v = 0; v < n; ++v)
     SCOL_REQUIRE(static_cast<Vertex>(lists.of(v).size()) >= d,
                  + "need a d-list-assignment");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 namespace scol {
@@ -9,7 +10,9 @@ namespace scol {
 Vertex sparsify_target(Vertex n, double c) {
   SCOL_REQUIRE(c > 0.0, + "sparsify constant c must be positive");
   const double bits = std::log2(static_cast<double>(n) + 1.0);
-  const double raw = std::ceil(c * bits);
+  // Clamped before the cast: a huge c (or inf) means "the full palette".
+  const double raw = std::min(std::ceil(c * bits),
+                              double{std::numeric_limits<Vertex>::max()});
   return std::max<Vertex>(2, static_cast<Vertex>(raw));
 }
 

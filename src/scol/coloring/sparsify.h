@@ -26,15 +26,16 @@ namespace scol {
 
 /// Sampled list size for an n-vertex graph: ceil(c * log2(n + 1)),
 /// at least 2 (a 1-color list can never survive a propose/resolve
-/// clash, and the theorem's regime is c * log n >> 1 anyway).
+/// clash, and the theorem's regime is c * log n >> 1 anyway) and at most
+/// the largest Vertex, where every list is kept whole.
 Vertex sparsify_target(Vertex n, double c);
 
 /// Samples each vertex's list down to at most `target` colors. Vertices
 /// whose list already fits are copied verbatim; larger lists get a
 /// uniform `target`-subset via partial Fisher–Yates driven by the
 /// Rng::stream keyed on (seed, attempt << 32 | v). Output lists are
-/// canonical (sorted, duplicate-free) subsets of the inputs, so any
-/// coloring found on the sample respects the original assignment.
+/// subsets of the inputs (sorted and duplicate-free, like every list),
+/// so any coloring found on the sample respects the original assignment.
 ListAssignment sparsify_palette(const ListAssignment& lists, Vertex target,
                                 std::uint64_t seed, std::uint64_t attempt);
 

@@ -1,6 +1,7 @@
 #include "scol/coloring/types.h"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 namespace scol {
@@ -31,13 +32,12 @@ std::size_t ListAssignment::min_list_size() const {
   return m;
 }
 
-bool ListAssignment::canonical() const {
-  for (Vertex v = 0; v < size(); ++v) {
-    const auto l = of(v);
-    if (!std::is_sorted(l.begin(), l.end())) return false;
-    if (std::adjacent_find(l.begin(), l.end()) != l.end()) return false;
-  }
-  return true;
+void ListAssignment::append(std::span<const Color> list) {
+  SCOL_REQUIRE(std::adjacent_find(list.begin(), list.end(),
+                                  std::greater_equal<>()) == list.end(),
+               + "lists must be sorted and duplicate-free");
+  colors_.insert(colors_.end(), list.begin(), list.end());
+  offsets_.push_back(static_cast<std::int64_t>(colors_.size()));
 }
 
 ListAssignment uniform_lists(Vertex n, Color k) {
@@ -108,6 +108,23 @@ Vertex count_colors(const Coloring& c) {
 
 bool list_contains(std::span<const Color> list, Color x) {
   return std::binary_search(list.begin(), list.end(), x);
+}
+
+FreeColors::FreeColors(std::span<const Color> list,
+                       std::span<const Vertex> neighbors,
+                       const Coloring& coloring, std::vector<std::size_t>& hits)
+    : list_(list) {
+  hits.clear();
+  for (const Vertex w : neighbors) {
+    const Color cw = coloring[static_cast<std::size_t>(w)];
+    if (cw == kUncolored) continue;
+    const auto it = std::lower_bound(list.begin(), list.end(), cw);
+    if (it != list.end() && *it == cw)
+      hits.push_back(static_cast<std::size_t>(it - list.begin()));
+  }
+  std::sort(hits.begin(), hits.end());
+  hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+  hits_ = hits;
 }
 
 }  // namespace scol

@@ -23,8 +23,9 @@ using Coloring = std::vector<Color>;
 /// Storage is flat CSR (offsets + one contiguous color array), mirroring
 /// Graph: every per-vertex palette is a span into one allocation, so a
 /// sweep over all lists is a linear scan, not a pointer chase. Lists are
-/// appended in vertex order via append(); from_lists() converts the
-/// vector-of-vectors shape used by tests and ad-hoc callers.
+/// appended in vertex order via append(), which checks each once for being
+/// sorted and duplicate-free, so kernels binary-search them unchecked;
+/// from_lists() converts the vector-of-vectors shape of tests and callers.
 class ListAssignment {
  public:
   ListAssignment() = default;
@@ -33,7 +34,7 @@ class ListAssignment {
   Vertex size() const { return static_cast<Vertex>(offsets_.size()) - 1; }
   bool empty() const { return offsets_.size() <= 1; }
 
-  /// The (sorted, duplicate-free when canonical) list of v, zero-copy.
+  /// The (sorted, duplicate-free) list of v, zero-copy.
   std::span<const Color> of(Vertex v) const {
     return {colors_.data() + offsets_[static_cast<std::size_t>(v)],
             static_cast<std::size_t>(offsets_[static_cast<std::size_t>(v) + 1] -
@@ -41,13 +42,8 @@ class ListAssignment {
   }
 
   /// Appends the list of vertex size() (lists are built in vertex order).
-  void append(std::span<const Color> list) {
-    colors_.insert(colors_.end(), list.begin(), list.end());
-    offsets_.push_back(static_cast<std::int64_t>(colors_.size()));
-  }
-  void append(std::initializer_list<Color> list) {
-    append(std::span<const Color>(list.begin(), list.size()));
-  }
+  /// Throws PreconditionError unless `list` is sorted and duplicate-free.
+  void append(std::span<const Color> list);
 
   /// Pre-sizes the backing arrays (n lists, `total_colors` colors overall).
   void reserve(Vertex n, std::size_t total_colors) {
@@ -63,10 +59,6 @@ class ListAssignment {
 
   /// Smallest list size (the k of the k-list-assignment).
   std::size_t min_list_size() const;
-
-  /// True iff every list is sorted and duplicate-free (the canonical form
-  /// produced by the constructors below; algorithms may require it).
-  bool canonical() const;
 
  private:
   std::vector<std::int64_t> offsets_{0};  // size n+1
@@ -102,5 +94,40 @@ Vertex count_colors(const Coloring& c);
 
 /// True iff color x is in the (sorted) list.
 bool list_contains(std::span<const Color> list, Color x);
+
+/// The free colors of a vertex: its list minus its colored neighbours'
+/// colors, read in O(deg log |L|) without copying the list. One binary
+/// search per colored neighbour finds the sorted, distinct list positions
+/// ("hits") of their colors, kept in the caller's scratch `hits`.
+class FreeColors {
+ public:
+  FreeColors(std::span<const Color> list, std::span<const Vertex> neighbors,
+             const Coloring& coloring, std::vector<std::size_t>& hits);
+  std::size_t size() const { return list_.size() - hits_.size(); }
+
+  /// The r-th free color in list order: list[r], r stepped past each hit.
+  Color at(std::size_t r) const {
+    for (const std::size_t h : hits_)
+      if (h <= r) ++r;
+    return list_[r];
+  }
+
+  /// Walks the free colors in list order, stopping with false at the
+  /// first one pred rejects.
+  template <typename Pred>
+  bool all_of(Pred&& pred) const {
+    for (std::size_t i = 0, h = 0; i < list_.size(); ++i) {
+      if (h < hits_.size() && hits_[h] == i)
+        ++h;
+      else if (!pred(list_[i]))
+        return false;
+    }
+    return true;
+  }
+
+ private:
+  std::span<const Color> list_;
+  std::span<const std::size_t> hits_;
+};
 
 }  // namespace scol

@@ -78,23 +78,4 @@ Vertex eccentricity(const Graph& g, Vertex v) {
   return ecc;
 }
 
-std::vector<Vertex> bfs_parents(const Graph& g, Vertex source) {
-  SCOL_REQUIRE(g.valid(source));
-  std::vector<Vertex> parent(static_cast<std::size_t>(g.num_vertices()), -1);
-  std::vector<char> seen(static_cast<std::size_t>(g.num_vertices()), 0);
-  std::vector<Vertex> queue{source};
-  seen[source] = 1;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const Vertex u = queue[head];
-    for (Vertex w : g.neighbors(u)) {
-      if (!seen[w]) {
-        seen[w] = 1;
-        parent[w] = u;
-        queue.push_back(w);
-      }
-    }
-  }
-  return parent;
-}
-
 }  // namespace scol

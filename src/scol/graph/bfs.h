@@ -49,7 +49,4 @@ std::vector<Vertex> ball_within(const Graph& g, std::span<const char> mask,
 /// Eccentricity of v within its connected component (max distance).
 Vertex eccentricity(const Graph& g, Vertex v);
 
-/// BFS tree parents from source (-1 for source and unreachable vertices).
-std::vector<Vertex> bfs_parents(const Graph& g, Vertex source);
-
 }  // namespace scol

@@ -22,12 +22,4 @@ std::vector<std::vector<Vertex>> flood_balls_engine(
     const Graph& g, int radius, RoundLedger* ledger,
     const Executor* executor = nullptr);
 
-/// Charges `radius` rounds under `phase` for one simultaneous ball
-/// collection and returns nothing; callers then use graph::ball /
-/// ball_within freely for that radius (local computation is free).
-inline void charge_ball_collection(RoundLedger& ledger, int radius,
-                                   const std::string& phase) {
-  ledger.charge(phase, radius);
-}
-
 }  // namespace scol

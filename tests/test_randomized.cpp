@@ -4,10 +4,13 @@
 
 #include <cmath>
 
+#include "scol/api/scenario.h"
+#include "scol/api/solve.h"
 #include "scol/coloring/randomized.h"
 #include "scol/gen/lattice.h"
 #include "scol/gen/random.h"
 #include "scol/gen/special.h"
+#include "scol/local/shard.h"
 #include "scol/local/validate.h"
 
 namespace scol {
@@ -130,6 +133,69 @@ TEST(Randomized, LedgerCharged) {
   RoundLedger ledger;
   const auto r = randomized_list_coloring(g, uniform_lists(64, 5), rng, &ledger);
   EXPECT_EQ(ledger.phase("randomized-coloring"), r.rounds);
+}
+
+TEST(Randomized, ListSolversAreExecutorIndependentAndPinned) {
+  // The free-color kernels (propose/resolve and the greedy list pass) on
+  // rmat:scale=12 with uniform and random (Delta+1)-lists: each coloring's
+  // FNV-1a digest is pinned, and is the same serially, on a 4-thread pool
+  // and on 4 threaded shards (the propose step keeps scratch per chunk).
+  Rng scenario_rng(1);
+  const Graph g = build_scenario("rmat:scale=12", scenario_rng);
+  const Color k = static_cast<Color>(g.max_degree() + 1);
+  Rng list_rng(2);
+  const ListAssignment uniform = uniform_lists(g.num_vertices(), k);
+  const ListAssignment random = random_lists(g.num_vertices(), k, 4 * k,
+                                             list_rng);
+  ThreadPoolExecutor pool(4);
+  ShardOptions options;
+  options.shards = 4;
+  options.threaded = true;
+  const ShardedExecutor sharded(g, options);
+  const auto digest = [](const Coloring& c) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const Color x : c) {
+      for (int b = 0; b < 4; ++b) {
+        h ^= (static_cast<std::uint32_t>(x) >> (8 * b)) & 0xffU;
+        h *= 0x100000001b3ULL;
+      }
+    }
+    return h;
+  };
+  const struct {
+    const char* algorithm;
+    const ListAssignment* lists;
+    std::uint64_t digest;
+  } pins[] = {
+      {"randomized", &uniform, 0xa425234d6b6e700fULL},
+      {"randomized", &random, 0x44ca190a241d421eULL},
+      {"dplus1-sparsified", &uniform, 0xa1edcbf5e84baab0ULL},
+      {"dplus1-sparsified", &random, 0x9ef03382ba7984e3ULL},
+      {"degeneracy-list", &uniform, 0xc87e5885335c32ddULL},
+      {"degeneracy-list", &random, 0x855171fcd6b0fba1ULL},
+      {"deglist-sparsified", &uniform, 0x4e0382423ec1b0f8ULL},
+      {"deglist-sparsified", &random, 0xa73bc56dc9f11a87ULL},
+  };
+  for (const auto& pin : pins) {
+    const char* lists_name = pin.lists == &uniform ? "uniform" : "random";
+    ColoringRequest req = make_request(pin.algorithm, g, *pin.lists);
+    req.k = k;
+    for (const Executor* exec :
+         {static_cast<const Executor*>(nullptr),
+          static_cast<const Executor*>(&pool),
+          static_cast<const Executor*>(&sharded)}) {
+      RunContext ctx;
+      ctx.seed = 3;
+      ctx.executor = exec;
+      const ColoringReport r = solve(req, ctx);
+      ASSERT_EQ(r.status, SolveStatus::kColored)
+          << pin.algorithm << " " << lists_name << ": " << r.failure_reason;
+      EXPECT_EQ(digest(*r.coloring), pin.digest)
+          << pin.algorithm << " " << lists_name << " executor "
+          << (exec == nullptr ? "serial" : exec == &pool ? "pool" : "shards")
+          << std::hex << " got 0x" << digest(*r.coloring);
+    }
+  }
 }
 
 }  // namespace

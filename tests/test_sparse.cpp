@@ -123,9 +123,10 @@ TEST(Sparse, RejectsBadArguments) {
                PreconditionError);  // d < 3
   EXPECT_THROW(list_color_sparse(g, 3, uniform_lists(6, 2)),
                PreconditionError);  // lists too small
-  const ListAssignment unsorted = ListAssignment::from_lists(
-      std::vector<std::vector<Color>>(6, {2, 1, 0}));
-  EXPECT_THROW(list_color_sparse(g, 3, unsorted), PreconditionError);
+  // Unsorted lists are refused where they are built.
+  EXPECT_THROW(ListAssignment::from_lists(
+                   std::vector<std::vector<Color>>(6, {2, 1, 0})),
+               PreconditionError);
 }
 
 TEST(Sparse, Deterministic) {
