@@ -51,7 +51,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <istream>
 #include <map>
 #include <memory>
@@ -71,6 +70,7 @@ namespace {
 
 using namespace scol;
 using Clock = std::chrono::steady_clock;
+namespace cli = scol_cli_parse;
 
 const char* kUsage =
     "usage: scol-bench-load [--requests N] [--theta T] [--seed S]\n"
@@ -80,11 +80,6 @@ const char* kUsage =
     "exit codes: 0 all responses ok and byte-verified,\n"
     "            1 failed response / mismatch / daemon failure,\n"
     "            2 usage error\n";
-
-[[noreturn]] void usage_error(const std::string& message) {
-  std::cerr << "scol-bench-load: " << message << "\n" << kUsage;
-  std::exit(2);
-}
 
 /// One request shape in the universe; `line` is pre-serialized except
 /// for the id, which is appended per send.
@@ -232,59 +227,21 @@ int main(int argc, char** argv) {
   bool verify = true;
   bool pretty = false;
 
-  const auto need_value =
-      scol_cli_parse::value_reader(argc, argv, usage_error);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--version") {
-      std::cout << "scol-bench-load " << kVersion << "\n";
-      return 0;
-    } else if (arg == "--help") {
-      std::cout << kUsage;
-      return 0;
-    } else if (arg == "--requests") {
-      requests = scol_cli_parse::checked_int(
-          need_value(i, "--requests"), "--requests", 1,
-          std::numeric_limits<std::int64_t>::max(), usage_error);
-      ++i;
-    } else if (arg == "--theta") {
-      theta = scol_cli_parse::checked_real(need_value(i, "--theta"),
-                                           "--theta", 0.0, usage_error);
-      ++i;
-    } else if (arg == "--seed") {
-      seed = scol_cli_parse::checked_seed(need_value(i, "--seed"), "--seed",
-                                          usage_error);
-      ++i;
-    } else if (arg == "--window") {
-      window = static_cast<std::size_t>(scol_cli_parse::checked_int(
-          need_value(i, "--window"), "--window", 1,
-          std::numeric_limits<std::int64_t>::max(), usage_error));
-      ++i;
-    } else if (arg == "--jobs") {
-      jobs = static_cast<int>(scol_cli_parse::checked_int(
-          need_value(i, "--jobs"), "--jobs", 1,
-          std::numeric_limits<int>::max(), usage_error));
-      ++i;
-    } else if (arg == "--max-batch") {
-      max_batch = static_cast<int>(scol_cli_parse::checked_int(
-          need_value(i, "--max-batch"), "--max-batch", 1,
-          std::numeric_limits<int>::max(), usage_error));
-      ++i;
-    } else if (arg == "--serve-bin") {
-      serve_bin = need_value(i, "--serve-bin");
-      ++i;
-    } else if (arg == "--port") {
-      port = static_cast<int>(scol_cli_parse::checked_int(
-          need_value(i, "--port"), "--port", 0, 65535, usage_error));
-      ++i;
-    } else if (arg == "--no-verify") {
-      verify = false;
-    } else if (arg == "--pretty") {
-      pretty = true;
-    } else {
-      usage_error("unknown flag '" + arg + "'");
-    }
-  }
+  cli::parse_flags(
+      argc, argv, 1, {"scol-bench-load", kUsage},
+      {cli::print("--version",
+                  std::string("scol-bench-load ") + kVersion + "\n"),
+       cli::print("--help", kUsage),
+       cli::integer("--requests", &requests, 1),
+       cli::real("--theta", &theta, 0.0),
+       cli::seed("--seed", &seed),
+       cli::integer("--window", &window, 1),
+       cli::integer("--jobs", &jobs, 1),
+       cli::integer("--max-batch", &max_batch, 1),
+       cli::text("--serve-bin", &serve_bin),
+       cli::integer("--port", &port, 0, 65535),
+       cli::set("--no-verify", &verify, false),
+       cli::set("--pretty", &pretty, true)});
 
   const std::vector<RequestKey> universe = build_universe();
 

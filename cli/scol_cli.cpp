@@ -38,6 +38,8 @@
 //   --no-timing        zero wall_ms in the report (byte-stable output —
 //                      what scol-serve caches and scol-bench-load checks)
 //   --pretty           indent the JSON
+//   --list-algos       print the algorithm registry and exit
+//   --list-gens        print the scenario vocabulary and exit
 //   --version          print version and exit
 //   --help             usage and exit-code summary
 //
@@ -72,6 +74,8 @@
 //                      so a probe dry run predicts the campaign's skips)
 //   --probe-budget B   sampled probes on instances with n + m > B
 //                      (certified-but-weaker facts; see io/probe.h)
+//   --pretty           indent the summary JSON
+//   --help             campaign usage and exit
 //
 // Probe mode (`scol-cli probe`):
 //   --gen SPEC         scenario to probe (generator or file:path=...)
@@ -81,6 +85,8 @@
 //   --seed S           scenario seed (default 1)
 //   --planarity-limit N / --girth-limit L / --mad-limit N  probe bounds
 //   --probe-budget B   sampled mode above n + m > B (0 = always exact)
+//   --pretty           indent the JSON
+//   --help             probe usage and exit
 //   Prints {scenario, probe, algorithms:[{name, eligible, reason?, k}]}.
 //
 // Gen mode (`scol-cli gen`):
@@ -88,11 +94,15 @@
 //   --seed S           scenario seed (default 1)
 //   --out FILE         output path (required; extension picks the format)
 //   --format F         override the format (dimacs|metis|mtx|edges)
+//   --help             gen usage and exit
 //   Writes the graph with scol's own writers and prints one JSON line
 //   {spec, seed, path, format, n, m} — the big-graph pipeline's first
 //   stage (gen -> parallel read -> probe -> solve). A graph the format
 //   cannot represent (an edge list with an isolated vertex) or a failed
 //   write exits 1 and leaves no file at FILE.
+//
+// Every mode declares its flags once, as a table for parse_flags
+// (parse_num.h).
 //
 // Exit code: 0 for a kColored/kInfeasible report (both are answers),
 // 1 for kFailed (or, in campaign mode, any oracle violation), 2 for
@@ -100,7 +110,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -116,6 +125,7 @@
 namespace {
 
 using namespace scol;
+namespace cli = scol_cli_parse;
 
 const char* kUsage =
     "usage: scol-cli --algo NAME [--gen SPEC] [--k K] "
@@ -130,10 +140,50 @@ const char* kUsage =
     "no oracle violation),\n"
     "            1 failed report / oracle violation / runtime failure, "
     "2 usage error\n";
+const char* kProbeUsage =
+    "usage: scol-cli probe [--gen SPEC] [--k K] [--seed S] "
+    "[--param key=val]...\n"
+    "                [--planarity-limit N] [--girth-limit L] "
+    "[--mad-limit N]\n"
+    "                [--probe-budget B] [--pretty]\n";
+const char* kGenUsage =
+    "usage: scol-cli gen [--gen SPEC] [--seed S] --out FILE "
+    "[--format dimacs|metis|mtx|edges]\n";
+const char* kCampaignUsage =
+    "usage: scol-cli campaign [--gen SPEC]... --algo NAME|all "
+    "[--algo NAME]...\n"
+    "                [--seed S] [--seeds N] [--k K] "
+    "[--lists uniform|random] [--palette P]\n"
+    "                [--param key=val]... "
+    "[--algo-param NAME:key=val]... [--round-budget R]\n"
+    "                [--jobs N] [--shards P] "
+    "[--no-exchange-metrics] [--shard i/m]\n"
+    "                [--out FILE | "
+    "--summary-only] [--with-timing] [--no-probe]\n"
+    "                [--planarity-limit N] [--girth-limit L] "
+    "[--mad-limit N]\n"
+    "                [--probe-budget B] [--pretty]\n";
 
-[[noreturn]] void usage_error(const std::string& message) {
-  std::cerr << "scol-cli: " << message << "\n" << kUsage;
-  std::exit(2);
+const cli::Program kRun{"scol-cli", kUsage};
+const cli::Program kProbe{"scol-cli probe", kProbeUsage};
+const cli::Program kGen{"scol-cli gen", kGenUsage};
+const cli::Program kCampaign{"scol-cli campaign", kCampaignUsage};
+
+// `--param key=val`, shared by the run, probe and campaign modes.
+cli::Flag param_flag(ParamBag* params) {
+  return cli::with("--param",
+                   [params](const std::string& v) { parse_param(*params, v); });
+}
+
+// The probe cost flags of `probe` and `campaign`, appended to `flags`.
+std::vector<cli::Flag> with_probe_flags(ProbeOptions* options,
+                                        std::vector<cli::Flag> flags) {
+  flags.insert(flags.end(),
+               {cli::integer("--planarity-limit", &options->planarity_limit, 0),
+                cli::integer("--girth-limit", &options->girth_limit, 0),
+                cli::integer("--mad-limit", &options->exact_mad_limit, 0),
+                cli::integer("--probe-budget", &options->budget, 0)});
+  return flags;
 }
 
 void list_algorithms() {
@@ -170,23 +220,6 @@ void list_scenarios() {
   std::cout << arr.dump(2) << "\n";
 }
 
-[[noreturn]] void probe_usage_error(const std::string& message) {
-  std::cerr << "scol-cli probe: " << message << "\n"
-            << "usage: scol-cli probe [--gen SPEC] [--k K] [--seed S] "
-               "[--param key=val]...\n"
-               "                [--planarity-limit N] [--girth-limit L] "
-               "[--mad-limit N]\n"
-               "                [--probe-budget B] [--pretty]\n";
-  std::exit(2);
-}
-
-[[noreturn]] void gen_usage_error(const std::string& message) {
-  std::cerr << "scol-cli gen: " << message << "\n"
-            << "usage: scol-cli gen [--gen SPEC] [--seed S] --out FILE "
-               "[--format dimacs|metis|mtx|edges]\n";
-  std::exit(2);
-}
-
 // `scol-cli gen ...`: materialize one scenario to a graph file — the
 // first stage of the big-graph pipeline (gen -> parallel read -> sampled
 // probe -> solve) and the generator half of the reader differential
@@ -196,29 +229,12 @@ int gen_main(int argc, char** argv) {
   std::string out_path;
   std::string format_arg = "auto";
   std::uint64_t seed = 1;
-
-  const auto need_value =
-      scol_cli_parse::value_reader(argc, argv, gen_usage_error);
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--gen") {
-      gen = need_value(i, "--gen");
-      ++i;
-    } else if (arg == "--seed") {
-      seed = scol_cli_parse::checked_seed(need_value(i, "--seed"), "--seed",
-                                          gen_usage_error);
-      ++i;
-    } else if (arg == "--out") {
-      out_path = need_value(i, "--out");
-      ++i;
-    } else if (arg == "--format") {
-      format_arg = need_value(i, "--format");
-      ++i;
-    } else {
-      gen_usage_error("unknown flag '" + arg + "'");
-    }
-  }
-  if (out_path.empty()) gen_usage_error("--out is required");
+  cli::parse_flags(argc, argv, 2, kGen,
+                   {cli::text("--gen", &gen), cli::seed("--seed", &seed),
+                    cli::text("--out", &out_path),
+                    cli::text("--format", &format_arg),
+                    cli::print("--help", kGenUsage)});
+  if (out_path.empty()) cli::usage_error(kGen, "--out is required");
 
   Graph g;
   GraphFormat format = GraphFormat::kAuto;
@@ -250,34 +266,6 @@ int gen_main(int argc, char** argv) {
   return 0;
 }
 
-// The probe cost flags of `probe` and `campaign`: false when argv[i] is
-// none of them; else parses its value into `options` and steps `i` past
-// it, routing errors through the caller's usage-error function `fail`.
-template <typename Fail>
-bool parse_probe_flag(int argc, char** argv, int& i, ProbeOptions& options,
-                      Fail fail) {
-  const std::string arg = argv[i];
-  const auto value = [&](std::int64_t max_value) {
-    return scol_cli_parse::checked_int(
-        scol_cli_parse::value_reader(argc, argv, fail)(i, arg.c_str()),
-        arg.c_str(), 0, max_value, fail);
-  };
-  constexpr std::int64_t kMaxVertex = std::numeric_limits<Vertex>::max();
-  if (arg == "--planarity-limit") {
-    options.planarity_limit = static_cast<Vertex>(value(kMaxVertex));
-  } else if (arg == "--girth-limit") {
-    options.girth_limit = static_cast<Vertex>(value(kMaxVertex));
-  } else if (arg == "--mad-limit") {
-    options.exact_mad_limit = static_cast<Vertex>(value(kMaxVertex));
-  } else if (arg == "--probe-budget") {
-    options.budget = value(std::numeric_limits<std::int64_t>::max());
-  } else {
-    return false;
-  }
-  ++i;
-  return true;
-}
-
 // `scol-cli probe ...`: certified structure of one scenario's graph plus
 // the per-algorithm eligibility verdicts — the dry-run companion of
 // `campaign --algo all` over arbitrary files.
@@ -288,33 +276,14 @@ int probe_main(int argc, char** argv) {
   bool pretty = false;
   ParamBag params;
   ProbeOptions probe_options;
-
-  const auto need_value =
-      scol_cli_parse::value_reader(argc, argv, probe_usage_error);
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--gen") {
-      gen = need_value(i, "--gen");
-      ++i;
-    } else if (arg == "--k") {
-      k = static_cast<Vertex>(scol_cli_parse::checked_int(
-          need_value(i, "--k"), "--k", -1,
-          std::numeric_limits<Vertex>::max(), probe_usage_error));
-      ++i;
-    } else if (arg == "--seed") {
-      seed = scol_cli_parse::checked_seed(need_value(i, "--seed"), "--seed",
-                                          probe_usage_error);
-      ++i;
-    } else if (arg == "--param") {
-      parse_param(params, need_value(i, "--param"));
-      ++i;
-    } else if (arg == "--pretty") {
-      pretty = true;
-    } else if (!parse_probe_flag(argc, argv, i, probe_options,
-                                 probe_usage_error)) {
-      probe_usage_error("unknown flag '" + arg + "'");
-    }
-  }
+  cli::parse_flags(argc, argv, 2, kProbe,
+                   with_probe_flags(&probe_options,
+                                    {cli::text("--gen", &gen),
+                                     cli::integer("--k", &k, -1),
+                                     cli::seed("--seed", &seed),
+                                     param_flag(&params),
+                                     cli::set("--pretty", &pretty, true),
+                                     cli::print("--help", kProbeUsage)}));
 
   try {
     Rng rng(seed);
@@ -352,24 +321,6 @@ int probe_main(int argc, char** argv) {
   }
 }
 
-[[noreturn]] void campaign_usage_error(const std::string& message) {
-  std::cerr << "scol-cli campaign: " << message << "\n"
-            << "usage: scol-cli campaign [--gen SPEC]... --algo NAME|all "
-               "[--algo NAME]...\n"
-               "                [--seed S] [--seeds N] [--k K] "
-               "[--lists uniform|random] [--palette P]\n"
-               "                [--param key=val]... "
-               "[--algo-param NAME:key=val]... [--round-budget R]\n"
-               "                [--jobs N] [--shards P] "
-               "[--no-exchange-metrics] [--shard i/m]\n"
-               "                [--out FILE | "
-               "--summary-only] [--with-timing] [--no-probe]\n"
-               "                [--planarity-limit N] [--girth-limit L] "
-               "[--mad-limit N]\n"
-               "                [--probe-budget B] [--pretty]\n";
-  std::exit(2);
-}
-
 // `scol-cli campaign ...`: the grid runner. JSONL goes to --out (or
 // stdout), the aggregate summary to stdout (or stderr when the lines own
 // stdout), and the exit code surfaces oracle violations.
@@ -380,106 +331,64 @@ int campaign_main(int argc, char** argv) {
   bool pretty = false;
   bool summary_only = false;
   std::string out_path;
-
-  const auto need_value =
-      scol_cli_parse::value_reader(argc, argv, campaign_usage_error);
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--gen") {
-      spec.scenarios.push_back(need_value(i, "--gen"));
-      ++i;
-    } else if (arg == "--algo") {
-      const std::string name = need_value(i, "--algo");
-      if (name == "all") {
-        for (const auto& n : AlgorithmRegistry::instance().names())
-          spec.algorithms.push_back(n);
-      } else {
-        spec.algorithms.push_back(name);
-      }
-      ++i;
-    } else if (arg == "--seed") {
-      spec.seed = scol_cli_parse::checked_seed(need_value(i, "--seed"),
-                                               "--seed",
-                                               campaign_usage_error);
-      ++i;
-    } else if (arg == "--seeds") {
-      spec.seeds = static_cast<int>(scol_cli_parse::checked_int(
-          need_value(i, "--seeds"), "--seeds", 1,
-          std::numeric_limits<int>::max(), campaign_usage_error));
-      ++i;
-    } else if (arg == "--k") {
-      spec.k = static_cast<Vertex>(scol_cli_parse::checked_int(
-          need_value(i, "--k"), "--k", -1,
-          std::numeric_limits<Vertex>::max(), campaign_usage_error));
-      ++i;
-    } else if (arg == "--lists") {
-      spec.lists_mode = need_value(i, "--lists");
-      ++i;
-    } else if (arg == "--palette") {
-      spec.palette = static_cast<Vertex>(scol_cli_parse::checked_int(
-          need_value(i, "--palette"), "--palette", -1,
-          std::numeric_limits<Vertex>::max(), campaign_usage_error));
-      ++i;
-    } else if (arg == "--param") {
-      parse_param(spec.params, need_value(i, "--param"));
-      ++i;
-    } else if (arg == "--algo-param") {
-      const std::string v = need_value(i, "--algo-param");
-      const std::size_t colon = v.find(':');
-      if (colon == std::string::npos || colon == 0 || colon + 1 == v.size())
-        campaign_usage_error("--algo-param wants NAME:key=val, got '" + v +
+  cli::parse_flags(
+      argc, argv, 2, kCampaign,
+      with_probe_flags(
+          &spec.probe_options,
+          {cli::with("--gen",
+                     [&](const std::string& v) {
+                       spec.scenarios.push_back(v);
+                     }),
+           cli::with("--algo",
+                     [&](const std::string& name) {
+                       if (name != "all") {
+                         spec.algorithms.push_back(name);
+                         return;
+                       }
+                       for (const auto& n :
+                            AlgorithmRegistry::instance().names())
+                         spec.algorithms.push_back(n);
+                     }),
+           cli::seed("--seed", &spec.seed),
+           cli::integer("--seeds", &spec.seeds, 1),
+           cli::integer("--k", &spec.k, -1),
+           cli::text("--lists", &spec.lists_mode),
+           cli::integer("--palette", &spec.palette, -1),
+           param_flag(&spec.params),
+           cli::with("--algo-param",
+                     [&](const std::string& v) {
+                       const std::size_t colon = v.find(':');
+                       if (colon == std::string::npos || colon == 0 ||
+                           colon + 1 == v.size())
+                         throw cli::UsageError(
+                             "--algo-param wants NAME:key=val, got '" + v +
                              "'");
-      ParamBag bag;
-      parse_param(bag, v.substr(colon + 1));
-      spec.algo_params.emplace_back(v.substr(0, colon), std::move(bag));
-      ++i;
-    } else if (arg == "--round-budget") {
-      spec.round_budget = scol_cli_parse::checked_int(
-          need_value(i, "--round-budget"), "--round-budget", -1,
-          std::numeric_limits<std::int64_t>::max(), campaign_usage_error);
-      ++i;
-    } else if (arg == "--jobs") {
-      jobs = static_cast<int>(scol_cli_parse::checked_int(
-          need_value(i, "--jobs"), "--jobs", 1,
-          std::numeric_limits<int>::max(), campaign_usage_error));
-      ++i;
-    } else if (arg == "--shards") {
-      spec.exec_shards = static_cast<int>(scol_cli_parse::checked_int(
-          need_value(i, "--shards"), "--shards", 1,
-          std::numeric_limits<int>::max(), campaign_usage_error));
-      ++i;
-    } else if (arg == "--no-exchange-metrics") {
-      spec.exchange_metrics = false;
-    } else if (arg == "--shard") {
-      std::int64_t shard_index = 0;
-      std::int64_t shard_count = 0;
-      scol_cli_parse::checked_shard_spec(need_value(i, "--shard"),
-                                         &shard_index, &shard_count,
-                                         campaign_usage_error);
-      options.shard_index = static_cast<int>(shard_index);
-      options.shard_count = static_cast<int>(shard_count);
-      ++i;
-    } else if (arg == "--out") {
-      out_path = need_value(i, "--out");
-      ++i;
-    } else if (arg == "--with-timing") {
-      options.include_timing = true;
-    } else if (arg == "--summary-only") {
-      summary_only = true;
-    } else if (arg == "--no-probe") {
-      spec.probe = false;
-    } else if (arg == "--pretty") {
-      pretty = true;
-    } else if (!parse_probe_flag(argc, argv, i, spec.probe_options,
-                                 campaign_usage_error)) {
-      campaign_usage_error("unknown flag '" + arg + "'");
-    }
-  }
+                       ParamBag bag;
+                       parse_param(bag, v.substr(colon + 1));
+                       spec.algo_params.emplace_back(v.substr(0, colon),
+                                                     std::move(bag));
+                     }),
+           cli::integer("--round-budget", &spec.round_budget, -1),
+           cli::integer("--jobs", &jobs, 1),
+           cli::integer("--shards", &spec.exec_shards, 1),
+           cli::set("--no-exchange-metrics", &spec.exchange_metrics, false),
+           cli::with("--shard",
+                     [&](const std::string& v) {
+                       cli::checked_shard_spec(v, &options.shard_index,
+                                               &options.shard_count);
+                     }),
+           cli::text("--out", &out_path),
+           cli::set("--with-timing", &options.include_timing, true),
+           cli::set("--summary-only", &summary_only, true),
+           cli::set("--no-probe", &spec.probe, false),
+           cli::set("--pretty", &pretty, true),
+           cli::print("--help", kCampaignUsage)}));
   if (spec.scenarios.empty()) spec.scenarios.push_back("grid");
   if (spec.algorithms.empty())
-    campaign_usage_error("--algo is required (name or 'all')");
+    cli::usage_error(kCampaign, "--algo is required (name or 'all')");
   if (summary_only && !out_path.empty())
-    campaign_usage_error("--summary-only and --out are mutually exclusive");
+    cli::usage_error(kCampaign,
+                     "--summary-only and --out are mutually exclusive");
 
   try {
     // grain=1: the unit of job-level work is one instance, not 256.
@@ -542,88 +451,44 @@ int main(int argc, char** argv) {
   // responses byte-identical to this binary's output by construction.
   OneShotSpec spec;
   bool pretty = false;
-
-  const auto need_value =
-      scol_cli_parse::value_reader(argc, argv, usage_error);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--list-algos") {
-      list_algorithms();
-      return 0;
-    } else if (arg == "--list-gens") {
-      list_scenarios();
-      return 0;
-    } else if (arg == "--version") {
-      std::cout << "scol-cli " << kVersion << "\n";
-      return 0;
-    } else if (arg == "--help") {
-      std::cout << kUsage;
-      return 0;
-    } else if (arg == "--algo") {
-      spec.algorithm = need_value(i, "--algo");
-      ++i;
-    } else if (arg == "--gen") {
-      spec.scenario = need_value(i, "--gen");
-      ++i;
-    } else if (arg == "--lists") {
-      spec.lists_mode = need_value(i, "--lists");
-      if (spec.lists_mode != "uniform" && spec.lists_mode != "random")
-        usage_error("--lists must be uniform or random");
-      ++i;
-    } else if (arg == "--k") {
-      spec.k = static_cast<Vertex>(scol_cli_parse::checked_int(
-          need_value(i, "--k"), "--k", -1,
-          std::numeric_limits<Vertex>::max(), usage_error));
-      ++i;
-    } else if (arg == "--palette") {
-      spec.palette = static_cast<Vertex>(scol_cli_parse::checked_int(
-          need_value(i, "--palette"), "--palette", -1,
-          std::numeric_limits<Vertex>::max(), usage_error));
-      ++i;
-    } else if (arg == "--param") {
-      parse_param(spec.params, need_value(i, "--param"));
-      ++i;
-    } else if (arg == "--seed") {
-      spec.seed = scol_cli_parse::checked_seed(need_value(i, "--seed"),
-                                               "--seed", usage_error);
-      ++i;
-    } else if (arg == "--threads") {
-      spec.threads = static_cast<int>(scol_cli_parse::checked_int(
-          need_value(i, "--threads"), "--threads", 0,
-          std::numeric_limits<int>::max(), usage_error));
-      ++i;
-    } else if (arg == "--shards") {
-      spec.shards = static_cast<int>(scol_cli_parse::checked_int(
-          need_value(i, "--shards"), "--shards", 1,
-          std::numeric_limits<int>::max(), usage_error));
-      ++i;
-    } else if (arg == "--no-exchange-metrics") {
-      spec.exchange_metrics = false;
-    } else if (arg == "--round-budget") {
-      spec.round_budget = scol_cli_parse::checked_int(
-          need_value(i, "--round-budget"), "--round-budget", -1,
-          std::numeric_limits<std::int64_t>::max(), usage_error);
-      ++i;
-    } else if (arg == "--deadline-ms") {
-      spec.deadline_ms = scol_cli_parse::checked_real(
-          need_value(i, "--deadline-ms"), "--deadline-ms", -1.0,
-          usage_error);
-      ++i;
-    } else if (arg == "--no-validate") {
-      spec.validate = false;
-    } else if (arg == "--with-coloring") {
-      spec.with_coloring = true;
-    } else if (arg == "--no-timing") {
-      spec.include_timing = false;
-    } else if (arg == "--pretty") {
-      pretty = true;
-    } else {
-      usage_error("unknown flag '" + arg + "'");
-    }
-  }
-  if (spec.algorithm.empty()) usage_error("--algo is required");
+  cli::parse_flags(
+      argc, argv, 1, kRun,
+      {cli::on("--list-algos",
+               [] {
+                 list_algorithms();
+                 std::exit(0);
+               }),
+       cli::on("--list-gens",
+               [] {
+                 list_scenarios();
+                 std::exit(0);
+               }),
+       cli::print("--version", std::string("scol-cli ") + kVersion + "\n"),
+       cli::print("--help", kUsage),
+       cli::text("--algo", &spec.algorithm),
+       cli::text("--gen", &spec.scenario),
+       cli::with("--lists",
+                 [&](const std::string& v) {
+                   if (v != "uniform" && v != "random")
+                     throw cli::UsageError("--lists must be uniform or random");
+                   spec.lists_mode = v;
+                 }),
+       cli::integer("--k", &spec.k, -1),
+       cli::integer("--palette", &spec.palette, -1),
+       param_flag(&spec.params),
+       cli::seed("--seed", &spec.seed),
+       cli::integer("--threads", &spec.threads, 0),
+       cli::integer("--shards", &spec.shards, 1),
+       cli::set("--no-exchange-metrics", &spec.exchange_metrics, false),
+       cli::integer("--round-budget", &spec.round_budget, -1),
+       cli::real("--deadline-ms", &spec.deadline_ms, -1.0),
+       cli::set("--no-validate", &spec.validate, false),
+       cli::set("--with-coloring", &spec.with_coloring, true),
+       cli::set("--no-timing", &spec.include_timing, false),
+       cli::set("--pretty", &pretty, true)});
+  if (spec.algorithm.empty()) cli::usage_error(kRun, "--algo is required");
   if (spec.threads > 0 && spec.shards > 0)
-    usage_error("--threads and --shards are mutually exclusive");
+    cli::usage_error(kRun, "--threads and --shards are mutually exclusive");
 
   try {
     const Json out = one_shot_report(spec);

@@ -30,9 +30,7 @@
 // and signal semantics").
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <string>
 
 #include "parse_num.h"
@@ -42,6 +40,7 @@
 namespace {
 
 using namespace scol;
+namespace cli = scol_cli_parse;
 
 const char* kUsage =
     "usage: scol-serve [--port P] [--jobs N] [--max-batch N]\n"
@@ -49,11 +48,6 @@ const char* kUsage =
     "                  [--version] [--help]\n"
     "exit codes: 0 clean shutdown (EOF or shutdown request),\n"
     "            1 runtime failure, 2 usage error\n";
-
-[[noreturn]] void usage_error(const std::string& message) {
-  std::cerr << "scol-serve: " << message << "\n" << kUsage;
-  std::exit(2);
-}
 
 }  // namespace
 
@@ -67,47 +61,15 @@ int main(int argc, char** argv) {
   ServerOptions options;
   int port = -1;
 
-  const auto need_value =
-      scol_cli_parse::value_reader(argc, argv, usage_error);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--version") {
-      std::cout << "scol-serve " << kVersion << "\n";
-      return 0;
-    } else if (arg == "--help") {
-      std::cout << kUsage;
-      return 0;
-    } else if (arg == "--port") {
-      port = static_cast<int>(scol_cli_parse::checked_int(
-          need_value(i, "--port"), "--port", 0, 65535, usage_error));
-      ++i;
-    } else if (arg == "--jobs") {
-      options.jobs = static_cast<int>(scol_cli_parse::checked_int(
-          need_value(i, "--jobs"), "--jobs", 1,
-          std::numeric_limits<int>::max(), usage_error));
-      ++i;
-    } else if (arg == "--max-batch") {
-      options.max_batch = static_cast<std::size_t>(
-          scol_cli_parse::checked_int(
-              need_value(i, "--max-batch"), "--max-batch", 1,
-              std::numeric_limits<std::int64_t>::max(), usage_error));
-      ++i;
-    } else if (arg == "--graph-cache") {
-      options.graph_cache_capacity = static_cast<std::size_t>(
-          scol_cli_parse::checked_int(
-              need_value(i, "--graph-cache"), "--graph-cache", 0,
-              std::numeric_limits<std::int64_t>::max(), usage_error));
-      ++i;
-    } else if (arg == "--report-cache") {
-      options.report_cache_capacity = static_cast<std::size_t>(
-          scol_cli_parse::checked_int(
-              need_value(i, "--report-cache"), "--report-cache", 0,
-              std::numeric_limits<std::int64_t>::max(), usage_error));
-      ++i;
-    } else {
-      usage_error("unknown flag '" + arg + "'");
-    }
-  }
+  cli::parse_flags(
+      argc, argv, 1, {"scol-serve", kUsage},
+      {cli::print("--version", std::string("scol-serve ") + kVersion + "\n"),
+       cli::print("--help", kUsage),
+       cli::integer("--port", &port, 0, 65535),
+       cli::integer("--jobs", &options.jobs, 1),
+       cli::integer("--max-batch", &options.max_batch, 1),
+       cli::integer("--graph-cache", &options.graph_cache_capacity, 0),
+       cli::integer("--report-cache", &options.report_cache_capacity, 0)});
 
   try {
     Server server(options);

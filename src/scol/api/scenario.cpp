@@ -13,8 +13,10 @@
 namespace scol {
 namespace {
 
-Vertex geti(const ParamBag& p, const char* key, std::int64_t def) {
-  return static_cast<Vertex>(p.get_int(key, def));
+// An integer key a Vertex must hold: refused, naming the key, when it
+// cannot (4294967298 would otherwise build as 2).
+Vertex geti(const ParamBag& p, const char* key, Vertex def) {
+  return p.get_int_as<Vertex>(key, def);
 }
 
 void register_builtin_scenarios(ScenarioRegistry& r) {

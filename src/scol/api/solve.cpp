@@ -96,6 +96,17 @@ Vertex genus_param(const ParamBag& p) {
   return p.get_int_as<Vertex>("genus", -1);
 }
 
+// Sampled palettes tried before the full-palette fallback: at least 1,
+// at most 64. The fallback already guarantees the answer, so more
+// samples buy nothing but time.
+std::int64_t sparsify_attempts(const ParamBag& p) {
+  const std::int64_t attempts = p.get_int("sparsify_attempts", 3);
+  SCOL_REQUIRE(attempts <= 64,
+               + ("param 'sparsify_attempts' = " + std::to_string(attempts) +
+                  " is out of range (at most 64)"));
+  return std::max<std::int64_t>(1, attempts);
+}
+
 // A decoded param `key` that the run cannot do without.
 Vertex required_param(const ColoringRequest& req, const char* key,
                       Vertex value) {
@@ -230,8 +241,7 @@ ColoringReport run_sparsified(
         std::int64_t* rounds)>& attempt,
     const std::function<ColoringReport()>& fallback) {
   const double c = req.params.get_real("sparsify_c", 4.0);
-  const std::int64_t attempts = std::max<std::int64_t>(
-      1, req.params.get_int("sparsify_attempts", 3));
+  const std::int64_t attempts = sparsify_attempts(req.params);
   const Vertex target = sparsify_target(req.graph->num_vertices(), c);
   Rng rng = ctx.make_rng();
   const std::uint64_t root = rng.next();  // all sparsify randomness

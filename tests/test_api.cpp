@@ -314,6 +314,20 @@ TEST(Solve, GenusThatWrapsIsRefused) {
             SolveStatus::kColored);
 }
 
+TEST(Solve, SparsifyAttemptsPastTheCapAreRefused) {
+  // The full-palette fallback already guarantees the answer, so the
+  // attempts are capped at 64 instead of running for as long as asked.
+  for (const std::int64_t attempts :
+       {std::int64_t{65}, std::int64_t{20'000}, std::int64_t{4'294'967'297}})
+    expect_param_refused("dplus1-sparsified", "sparsify_attempts", attempts);
+  for (const std::int64_t attempts : {std::int64_t{-5}, std::int64_t{64}}) {
+    const ColoringReport r =
+        run_with_param("dplus1-sparsified", "sparsify_attempts", attempts);
+    EXPECT_EQ(r.status, SolveStatus::kColored) << attempts;
+    EXPECT_EQ(r.metrics.get_int("sparsify_attempts", -1), 1) << attempts;
+  }
+}
+
 TEST(Solve, RoundBudgetPast32BitsSaturatesTheIterationCap) {
   // Half a round budget of 2^32 or more does not fit an int; the
   // propose/resolve cap saturates instead of wrapping to <= 1 iteration.
@@ -350,6 +364,24 @@ TEST(Scenarios, FileThreadsThatWrapIsRefused) {
                   "param 'threads' = 4294967298 is out of range"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(Scenarios, IntegerKeyThatWrapsIsRefused) {
+  // grid:rows=2^32+2 would build a 2-row grid; K_{2^32+3} would be K_3.
+  for (const auto& [spec, key] :
+       {std::pair<std::string, std::string>{"grid:rows=4294967298,cols=3",
+                                            "rows"},
+        {"complete:n=4294967299", "n"}}) {
+    Rng rng(1);
+    try {
+      build_scenario(spec, rng);
+      ADD_FAILURE() << spec << ": expected a PreconditionError";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("param '" + key + "' = "),
+                std::string::npos)
+          << spec << ": " << e.what();
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <string>
 
 #include "scol/api/json.h"
@@ -70,6 +71,13 @@ TEST(Cli, HelpDocumentsExitCodesAndExitsZero) {
     EXPECT_NE(r.output.find("--version"), std::string::npos) << name;
   }
   SKIP_WITHOUT(binary("scol-cli"));
+  // Each scol-cli mode prints its own usage text.
+  for (const std::string mode : {"campaign", "probe", "gen"}) {
+    const RunResult r = run(binary("scol-cli") + " " + mode + " --help");
+    EXPECT_EQ(r.exit_code, 0) << mode << "\n" << r.output;
+    EXPECT_EQ(r.output.rfind("usage: scol-cli " + mode + " ", 0), 0u)
+        << r.output;
+  }
 }
 
 TEST(Cli, UsageErrorsExitTwo) {
@@ -113,6 +121,16 @@ TEST(Cli, BadNumericFlagsExitTwoAndNameTheFlag) {
   expect_flag_error(bin + " gen petersen --seed 0x10", "--seed");
   expect_flag_error(bin + " probe --gen petersen --mad-limit -3",
                     "--mad-limit");
+  // A malformed --param is a usage error in every mode, not an abort.
+  expect_flag_error(bin + " --algo greedy --param =5", "--param");
+  expect_flag_error(bin + " campaign --param =5", "--param");
+  expect_flag_error(bin + " probe --param =5", "--param");
+  expect_flag_error(bin + " campaign --gen petersen --algo greedy "
+                          "--algo-param greedy:=5",
+                    "--algo-param");
+  // A shard count an int cannot hold is refused, not wrapped to 1.
+  expect_flag_error(bin + " campaign --gen petersen --shard 0/4294967297",
+                    "--shard count");
 }
 
 TEST(Cli, BadShardSpecsExitTwoAndExplain) {
@@ -153,6 +171,41 @@ TEST(Cli, ServeAndBenchLoadRejectBadNumericFlags) {
     expect_flag_error(bench + " --window 0", "--window");
   }
   SKIP_WITHOUT(serve);
+}
+
+TEST(Cli, EveryFlagTheHelpNamesIsDeclared) {
+  // `BIN FLAG --no-such-flag` may fail in many ways (a value that does
+  // not parse, a missing --algo, the trailing unknown flag), but never
+  // with FLAG itself unknown. Run in a scratch directory: a flag that
+  // takes a path gets "--no-such-flag" as its value.
+  const std::string dir = ::testing::TempDir() + "/scol_cli_help_flags";
+  std::filesystem::create_directories(dir);
+  const std::regex flag_pattern("--[a-z][a-z0-9-]*");
+  for (const auto& [name, mode] :
+       {std::pair<std::string, std::string>{"scol-cli", ""},
+        {"scol-cli", " campaign"},
+        {"scol-cli", " probe"},
+        {"scol-cli", " gen"},
+        {"scol-serve", ""},
+        {"scol-bench-load", ""}}) {
+    if (!exists(binary(name))) continue;
+    const std::string program = binary(name) + mode;
+    const std::string help = run(program + " --help").output;
+    int named = 0;
+    for (std::sregex_iterator it(help.begin(), help.end(), flag_pattern), end;
+         it != end; ++it, ++named) {
+      const std::string flag = it->str();
+      const RunResult r = run("cd '" + dir + "' && " + program + " " + flag +
+                              " --no-such-flag < /dev/null");
+      EXPECT_EQ(r.output.find("unknown flag '" + flag + "'"),
+                std::string::npos)
+          << name << mode << " " << flag << ":\n"
+          << r.output;
+    }
+    EXPECT_GT(named, 0) << name << mode;
+  }
+  std::filesystem::remove_all(dir);
+  SKIP_WITHOUT(binary("scol-cli"));
 }
 
 TEST(Cli, OneShotAnswersAndFailuresMapToExitCodes) {
