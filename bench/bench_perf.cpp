@@ -177,6 +177,17 @@ BENCHMARK_CAPTURE(BM_SparsifiedSweep, dplus1_sparsified, "dplus1-sparsified")
 BENCHMARK_CAPTURE(BM_SparsifiedSweep, dplus1_full, "randomized")
     ->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
 
+// Random (k, 4k)-lists at scol-serve's rmat:scale=11 miss shape (n = 2048,
+// k = 819, palette 3276): one full Fisher-Yates over the palette per
+// vertex, the list build a random-lists request pays before it solves.
+void BM_RandomLists(benchmark::State& state) {
+  const auto n = static_cast<Vertex>(state.range(0));
+  Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(random_lists(n, 819, 3276, rng));
+}
+BENCHMARK(BM_RandomLists)->Arg(2048)->Unit(benchmark::kMillisecond);
+
 void BM_ReportToJson(benchmark::State& state) {
   Rng rng(23);
   const Graph g = random_stacked_triangulation(512, rng);

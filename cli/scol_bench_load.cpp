@@ -13,9 +13,10 @@
 // the echoed id must match, and (unless --no-verify) the nested report
 // must be BYTE-identical to the library's one-shot path — the same
 // bytes `scol-cli --no-timing` prints for that request — with repeats
-// of a key identical to its first response. The summary reports QPS,
-// client-side latency percentiles, cache hit rates, and the server's
-// own /stats payload.
+// of a key identical to its first response. The summary reports the
+// responses received and, over those, QPS, client-side latency
+// percentiles and cache hit rates, plus the server's own /stats payload;
+// a request the daemon never answered counts as failed.
 //
 //   $ scol-bench-load --requests 1000 --jobs 4
 //   $ scol-bench-load --requests 10000 --theta 1.1 --pretty
@@ -418,17 +419,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<double> sorted(latency_ms.begin(), latency_ms.end());
+  // Rates and percentiles cover the responses that came back; a request
+  // left unanswered by a dead daemon counts as failed.
+  const std::size_t got = received.load(std::memory_order_acquire);
+  failed += static_cast<std::int64_t>(n - got);
+  std::vector<double> sorted(latency_ms.begin(),
+                             latency_ms.begin() +
+                                 static_cast<std::ptrdiff_t>(got));
   std::sort(sorted.begin(), sorted.end());
 
   Json summary = Json::object();
   summary.set("requests", Json::integer(requests));
+  summary.set("received", Json::integer(static_cast<std::int64_t>(got)));
   summary.set("universe",
               Json::integer(static_cast<std::int64_t>(universe.size())));
   summary.set("theta", Json::real(theta));
   summary.set("wall_ms", Json::real(wall_ms));
   summary.set("qps", Json::real(wall_ms > 0.0
-                                    ? static_cast<double>(n) * 1000.0 /
+                                    ? static_cast<double>(got) * 1000.0 /
                                           wall_ms
                                     : 0.0));
   Json lat = Json::object();
@@ -441,8 +449,8 @@ int main(int argc, char** argv) {
   cache.set("report_hits", Json::integer(report_hits));
   cache.set("graph_hits", Json::integer(graph_hits));
   cache.set("report_hit_rate",
-            Json::real(n > 0 ? static_cast<double>(report_hits) /
-                                   static_cast<double>(n)
+            Json::real(got > 0 ? static_cast<double>(report_hits) /
+                                     static_cast<double>(got)
                              : 0.0));
   summary.set("cache", std::move(cache));
   summary.set("failed", Json::integer(failed));

@@ -1,6 +1,7 @@
 #include "scol/coloring/types.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <set>
 
@@ -46,22 +47,46 @@ ListAssignment uniform_lists(Vertex n, Color k) {
   for (Color c = 0; c < k; ++c) base[static_cast<std::size_t>(c)] = c;
   ListAssignment out;
   out.reserve(n, static_cast<std::size_t>(n) * static_cast<std::size_t>(k));
-  for (Vertex v = 0; v < n; ++v) out.append(base);
+  for (Vertex v = 0; v < n; ++v) {
+    out.colors_.insert(out.colors_.end(), base.begin(), base.end());
+    out.offsets_.push_back(static_cast<std::int64_t>(out.colors_.size()));
+  }
   return out;
 }
 
 ListAssignment random_lists(Vertex n, Color k, Color palette_size, Rng& rng) {
   SCOL_REQUIRE(k >= 1 && palette_size >= k);
+  const auto p = static_cast<std::size_t>(palette_size);
   ListAssignment out;
   out.reserve(n, static_cast<std::size_t>(n) * static_cast<std::size_t>(k));
-  std::vector<Color> palette(static_cast<std::size_t>(palette_size));
+  // Each vertex draws Rng::shuffle's full Fisher-Yates over the palette
+  // (P - 1 draws), which every random-lists report and the rng state after
+  // the lists depend on. Each draw uses a divisor precomputed for its
+  // bound instead of a divide, and the k chosen colors come out sorted
+  // through a P-bit bitmap.
+  std::vector<Divisor> divisors;
+  divisors.reserve(p);
+  for (std::size_t b = 2; b <= p; ++b) divisors.emplace_back(b);
+  std::vector<Color> palette(p);
   for (Color c = 0; c < palette_size; ++c)
     palette[static_cast<std::size_t>(c)] = c;
-  std::vector<Color> list(static_cast<std::size_t>(k));
+  std::vector<std::uint64_t> chosen((p + 63) / 64, 0);
+  std::vector<Color> list;
+  list.reserve(static_cast<std::size_t>(k));
   for (Vertex v = 0; v < n; ++v) {
-    rng.shuffle(palette);
-    std::copy(palette.begin(), palette.begin() + k, list.begin());
-    std::sort(list.begin(), list.end());
+    for (std::size_t i = p; i > 1; --i)
+      std::swap(palette[i - 1], palette[rng.below(divisors[i - 2])]);
+    for (const Color color :
+         std::span(palette).first(static_cast<std::size_t>(k))) {
+      const auto c = static_cast<std::size_t>(color);
+      chosen[c / 64] |= std::uint64_t{1} << (c % 64);
+    }
+    list.clear();
+    for (std::size_t w = 0; w < chosen.size(); ++w) {
+      for (std::uint64_t bits = chosen[w]; bits != 0; bits &= bits - 1)
+        list.push_back(static_cast<Color>(64 * w + std::countr_zero(bits)));
+      chosen[w] = 0;
+    }
     out.append(list);
   }
   return out;

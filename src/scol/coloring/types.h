@@ -61,6 +61,10 @@ class ListAssignment {
   std::size_t min_list_size() const;
 
  private:
+  // Writes its n copies of 0..k-1, sorted by construction, without
+  // append()'s per-list check.
+  friend ListAssignment uniform_lists(Vertex n, Color k);
+
   std::vector<std::int64_t> offsets_{0};  // size n+1
   std::vector<Color> colors_;             // flat, per-vertex slices
 };

@@ -10,6 +10,41 @@
 
 namespace scol {
 
+/// A bound for Rng::below with its rejection threshold and round-up
+/// multiplier M = floor((2^128 - 1) / bound) + 1 precomputed, so that a
+/// draw takes r % bound as the high word of (M * r mod 2^128) * bound and
+/// needs no divide (Lemire, Kaser and Kurz, "Faster remainder by direct
+/// computation"; exact for every 64-bit r and bound). For bound 1 the
+/// multiplier wraps to 0, which gives the right remainder, 0.
+class Divisor {
+ public:
+  explicit Divisor(std::uint64_t bound) : bound_(bound) {
+    SCOL_CHECK(bound > 0);
+    threshold_ = -bound % bound;
+    multiplier_ = ~static_cast<unsigned __int128>(0) / bound + 1;
+  }
+
+  std::uint64_t bound() const { return bound_; }
+  /// Draws below this are rejected, as in Rng::below(bound).
+  std::uint64_t threshold() const { return threshold_; }
+
+  /// r % bound.
+  std::uint64_t mod(std::uint64_t r) const {
+    const unsigned __int128 low = multiplier_ * r;
+    const auto lo = static_cast<std::uint64_t>(low);
+    const auto hi = static_cast<std::uint64_t>(low >> 64);
+    const unsigned __int128 top = static_cast<unsigned __int128>(hi) * bound_;
+    const unsigned __int128 bottom =
+        (static_cast<unsigned __int128>(lo) * bound_) >> 64;
+    return static_cast<std::uint64_t>((top + bottom) >> 64);
+  }
+
+ private:
+  std::uint64_t bound_ = 0;
+  std::uint64_t threshold_ = 0;
+  unsigned __int128 multiplier_ = 0;
+};
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) {
@@ -49,6 +84,15 @@ class Rng {
     for (;;) {
       const std::uint64_t r = next();
       if (r >= threshold) return r % bound;
+    }
+  }
+
+  /// below(d.bound()), drawing the same values and leaving the same state,
+  /// without a divide.
+  std::uint64_t below(const Divisor& d) {
+    for (;;) {
+      const std::uint64_t r = next();
+      if (r >= d.threshold()) return d.mod(r);
     }
   }
 

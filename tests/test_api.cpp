@@ -613,5 +613,45 @@ TEST(Lists, EdgeCases) {
                PreconditionError);  // duplicate
 }
 
+TEST(Lists, RandomListsArePinned) {
+  // random_lists' output and the rng state it leaves are part of every
+  // random-lists report: an FNV-1a digest of each list (length, then
+  // colors) and the next rng.next() are pinned per (n, k, palette).
+  const auto fold = [](std::uint64_t h, std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  };
+  const struct {
+    Vertex n;
+    Color k, palette;
+    std::uint64_t digest, next;
+  } pins[] = {
+      {2048, 819, 3276, 0xf20ef97d1afa6336ULL, 0x1cabf208ff5db64dULL},
+      {5000, 7, 28, 0x5375d3fea364a7daULL, 0x830cbf4d7b22137cULL},
+      {10, 4, 4, 0x31b836986bcb75e5ULL, 0x89d410be0f0d7823ULL},
+      {300, 1, 1, 0x3cd944c1b6b7c4a5ULL, 0x6a341a462da1690cULL},
+      {257, 63, 64, 0x919f83fb46ddbc2dULL, 0x84e76a971c4003bfULL},
+      {3000, 200, 2000, 0xb1ee523e126aa8cdULL, 0x0c663815d08ba1c0ULL},
+  };
+  for (const auto& p : pins) {
+    Rng rng(static_cast<std::uint64_t>(p.n) * 31 + p.k);
+    const ListAssignment lists = random_lists(p.n, p.k, p.palette, rng);
+    ASSERT_EQ(lists.size(), p.n);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (Vertex v = 0; v < p.n; ++v) {
+      const auto l = lists.of(v);
+      ASSERT_EQ(l.size(), static_cast<std::size_t>(p.k));
+      h = fold(h, l.size());
+      for (const Color c : l) h = fold(h, static_cast<std::uint64_t>(c));
+    }
+    const std::uint64_t next = rng.next();
+    EXPECT_EQ(h, p.digest) << p.n << " " << p.k << " " << p.palette;
+    EXPECT_EQ(next, p.next) << p.n << " " << p.k << " " << p.palette;
+  }
+}
+
 }  // namespace
 }  // namespace scol

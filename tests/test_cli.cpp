@@ -328,5 +328,35 @@ TEST(Cli, ServePipeModeRoundTrips) {
   EXPECT_EQ(run("printf '' | " + bin).exit_code, 0);
 }
 
+TEST(Cli, BenchLoadCountsADeadDaemonsRequestsAsFailed) {
+  const std::string bench = binary("scol-bench-load");
+  SKIP_WITHOUT(bench);
+  // Two daemons that answer nothing: scol-cli refuses the daemon flags
+  // with exit 2, and a missing binary fails to exec. Rates and latencies
+  // cover the responses received (none), every request is failed, and
+  // the run exits 1.
+  for (const std::string& daemon :
+       {binary("scol-cli"), binary("no-such-daemon")}) {
+    const RunResult r =
+        run(bench + " --requests 50 --serve-bin '" + daemon + "'");
+    EXPECT_EQ(r.exit_code, 1) << daemon << ":\n" << r.output;
+    const std::size_t at = r.output.find("{\"requests\"");
+    ASSERT_NE(at, std::string::npos) << daemon << ":\n" << r.output;
+    const Json summary =
+        Json::parse(r.output.substr(at, r.output.find('\n', at) - at));
+    // A missing member reads as -1, which no check below expects.
+    const auto number = [](const Json* parent, const char* key) {
+      const Json* f = parent != nullptr ? parent->get(key) : nullptr;
+      return f != nullptr ? f->as_real() : -1.0;
+    };
+    EXPECT_EQ(number(&summary, "requests"), 50);
+    EXPECT_EQ(number(&summary, "received"), 0);
+    EXPECT_EQ(number(&summary, "failed"), 50);
+    EXPECT_EQ(number(&summary, "qps"), 0.0);
+    EXPECT_EQ(number(summary.get("latency_ms"), "max"), 0.0);
+    EXPECT_EQ(number(summary.get("cache"), "report_hit_rate"), 0.0);
+  }
+}
+
 }  // namespace
 }  // namespace scol

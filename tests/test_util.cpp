@@ -70,6 +70,35 @@ TEST(Rng, BelowIsInRangeAndCoversValues) {
   EXPECT_EQ(seen.size(), 7u);
 }
 
+TEST(Rng, DivisorDrawsEqualBelow) {
+  // below(Divisor(b)) is below(b) without the divide: the same values and
+  // the same state after them, for every small bound and at the edges of
+  // 32 and 64 bits (b = 1 makes the multiplier wrap to 0).
+  std::vector<std::uint64_t> bounds;
+  for (std::uint64_t b = 1; b <= 5000; ++b) bounds.push_back(b);
+  for (const std::uint64_t b :
+       {(std::uint64_t{1} << 31) - 1, std::uint64_t{1} << 32,
+        (std::uint64_t{1} << 32) + 1, std::uint64_t{1} << 63,
+        ~std::uint64_t{0}})
+    bounds.push_back(b);
+  for (const std::uint64_t b : bounds) {
+    const Divisor d(b);
+    ASSERT_EQ(d.bound(), b);
+    Rng plain(b), fast(b);
+    for (int i = 0; i < 1000; ++i)
+      ASSERT_EQ(fast.below(d), plain.below(b)) << "bound " << b;
+    ASSERT_EQ(fast.next(), plain.next()) << "bound " << b;
+  }
+  // The remainder is exact at the ends of the 64-bit range too.
+  for (const std::uint64_t b : {std::uint64_t{3}, std::uint64_t{1000003},
+                                ~std::uint64_t{0}, std::uint64_t{1} << 63})
+    for (const std::uint64_t r :
+         {std::uint64_t{0}, b - 1, b, ~std::uint64_t{0},
+          ~std::uint64_t{0} - 1})
+      EXPECT_EQ(Divisor(b).mod(r), r % b) << b << " " << r;
+  EXPECT_THROW(Divisor(0), InternalError);
+}
+
 TEST(Rng, UniformBoundsInclusive) {
   Rng rng(11);
   std::set<std::int64_t> seen;
